@@ -10,8 +10,10 @@ verify: build fmt-check clippy test serve-smoke svcconn-smoke dedup-scale-smoke 
 build:
 	$(CARGO) build --release
 
+# Every package's tests: the root integration suites plus each crate's own
+# unit and property tests.
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --workspace
 
 fmt-check:
 	$(CARGO) fmt --all --check

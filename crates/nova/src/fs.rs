@@ -233,81 +233,60 @@ impl InodeSlot {
     }
 }
 
-/// Number of shards in the inode map. Inode numbers are allocated
-/// sequentially, so modulo sharding spreads hot inodes evenly.
-const MAP_SHARDS: usize = 32;
+/// Slots an inode-table scan collects under one epoch pin.
+const SCAN_CHUNK: usize = 256;
 
-/// Sharded, epoch-protected inode map: lookups never take any lock — they
-/// pin the epoch, load the shard's published `HashMap` snapshot, and clone
-/// the target `Arc`. Mutations (create/unlink — rare next to lookups)
-/// serialize on a per-shard mutex, clone-modify the shard's map, publish
-/// the new snapshot, and retire the old one through the epoch collector.
-struct ShardedInodeMap {
-    shards: Vec<MapShard>,
+/// The DRAM inode table, indexed directly by ino like the PM inode table it
+/// mirrors: one cell per PM slot, allocated at mkfs/mount. A lookup takes no
+/// lock (one epoch pin, one atomic load, one `Arc` clone); insert publishes
+/// into the ino's cell and remove clears it, both O(1), and the replaced
+/// `Arc` drops after a grace period. The PM inode allocation keeps the two
+/// apart for one ino: create inserts only after claiming a free PM slot,
+/// and release removes before it frees the PM slot.
+struct InodeMap {
+    slots: Box<[denova_sync::RcuCell<Arc<InodeSlot>>]>,
 }
 
-struct MapShard {
-    current: denova_sync::RcuCell<HashMap<u64, Arc<InodeSlot>>>,
-    write: Mutex<()>,
-}
-
-impl ShardedInodeMap {
-    fn new() -> ShardedInodeMap {
-        ShardedInodeMap {
-            shards: (0..MAP_SHARDS)
-                .map(|_| MapShard {
-                    current: denova_sync::RcuCell::new(HashMap::new()),
-                    write: Mutex::new(()),
-                })
+impl InodeMap {
+    fn new(num_inodes: u64) -> InodeMap {
+        InodeMap {
+            slots: (0..num_inodes)
+                .map(|_| denova_sync::RcuCell::empty())
                 .collect(),
         }
     }
 
-    fn shard(&self, ino: u64) -> &MapShard {
-        &self.shards[(ino as usize) % MAP_SHARDS]
-    }
-
-    /// Lock-free lookup: one epoch pin, one atomic load, one `Arc` clone.
+    /// Lock-free lookup; an ino outside the table is simply absent.
     fn get(&self, ino: u64) -> Option<Arc<InodeSlot>> {
+        let cell = self.slots.get(usize::try_from(ino).ok()?)?;
         let guard = denova_sync::pin();
-        self.shard(ino)
-            .current
-            .load(&guard)
-            .and_then(|m| m.get(&ino).cloned())
+        cell.load(&guard).cloned()
     }
 
     fn insert(&self, ino: u64, slot: Arc<InodeSlot>) {
-        let shard = self.shard(ino);
-        let _w = shard.write.lock();
-        let guard = denova_sync::pin();
-        let mut next = shard.current.load(&guard).cloned().unwrap_or_default();
-        drop(guard);
-        next.insert(ino, slot);
-        shard.current.publish(next);
+        self.slots[ino as usize].publish(slot);
     }
 
     fn remove(&self, ino: u64) {
-        let shard = self.shard(ino);
-        let _w = shard.write.lock();
-        let guard = denova_sync::pin();
-        let mut next = shard.current.load(&guard).cloned().unwrap_or_default();
-        drop(guard);
-        next.remove(&ino);
-        shard.current.publish(next);
+        self.slots[ino as usize].clear();
     }
 
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Clone one shard's slots into `out` (cleared first). Scans use this
-    /// to visit inodes shard-by-shard without materializing a global
-    /// snapshot or holding any map-wide lock.
-    fn collect_shard(&self, idx: usize, out: &mut Vec<(u64, Arc<InodeSlot>)>) {
-        out.clear();
-        let guard = denova_sync::pin();
-        if let Some(m) = self.shards[idx].current.load(&guard) {
-            out.extend(m.iter().map(|(ino, slot)| (*ino, slot.clone())));
+    /// Visit every mapped inode in ino order. Slots are collected a chunk
+    /// at a time under one pin and `f` runs unpinned, so it may block on an
+    /// inode lock without holding back epoch reclamation.
+    fn for_each(&self, mut f: impl FnMut(u64, &InodeSlot)) {
+        let mut batch = Vec::with_capacity(SCAN_CHUNK);
+        for (c, chunk) in self.slots.chunks(SCAN_CHUNK).enumerate() {
+            {
+                let guard = denova_sync::pin();
+                batch.extend(chunk.iter().enumerate().filter_map(|(i, cell)| {
+                    let ino = (c * SCAN_CHUNK + i) as u64;
+                    cell.load(&guard).map(|slot| (ino, slot.clone()))
+                }));
+            }
+            for (ino, slot) in batch.drain(..) {
+                f(ino, &slot);
+            }
         }
     }
 }
@@ -321,9 +300,9 @@ pub struct Nova {
     /// truth is the root directory inode's dentry log.
     namespace: Mutex<HashMap<String, u64>>,
     /// Per-inode DRAM state. `Arc` so callers can hold an inode lock without
-    /// holding any map-level lock; the map itself is sharded and
-    /// epoch-protected so lookups are lock-free.
-    inode_map: ShardedInodeMap,
+    /// holding any table-level lock; the table itself is epoch-protected so
+    /// lookups are lock-free.
+    inode_map: InodeMap,
     /// Next inode slot to probe when allocating.
     inode_cursor: Mutex<u64>,
     txid: AtomicU64,
@@ -376,7 +355,7 @@ impl Nova {
         let fs = Nova {
             alloc: Allocator::new(opts.cpus, layout.data_start, layout.data_blocks()),
             namespace: Mutex::new(HashMap::new()),
-            inode_map: ShardedInodeMap::new(),
+            inode_map: InodeMap::new(layout.num_inodes),
             inode_cursor: Mutex::new(1),
             txid: AtomicU64::new(1),
             dedup_enabled: AtomicBool::new(opts.dedup_enabled),
@@ -407,7 +386,7 @@ impl Nova {
                 .counter("nova.recovery.orphan_prepares")
                 .add(recovered.orphan_prepares.len() as u64);
         }
-        let inode_map = ShardedInodeMap::new();
+        let inode_map = InodeMap::new(layout.num_inodes);
         for (ino, mut mem) in recovered.inodes {
             mem.refresh_hints();
             inode_map.insert(ino, InodeSlot::new(mem));
@@ -588,10 +567,17 @@ impl Nova {
     /// absorbs the common "writer finished an instant ago" conflict.
     const OPTIMISTIC_ATTEMPTS: usize = 2;
 
+    /// Seq polls an optimistic reader spends waiting for a mid-mutation
+    /// writer to finish before it falls back to the read lock: ~100 µs at
+    /// the ~25 ns a `spin_loop` poll takes on a Xeon, which outlasts a
+    /// foreground write section, so a reader racing a busy writer still
+    /// reads between its writes instead of queueing behind them.
+    const ODD_SEQ_SPINS: usize = 4096;
+
     /// Run `f` against the inode's DRAM state **without taking any lock**,
     /// validating via the inode's seqlock; falls back to the read lock
-    /// after [`Self::OPTIMISTIC_ATTEMPTS`] conflicts or while a writer is
-    /// mid-mutation.
+    /// after [`Self::OPTIMISTIC_ATTEMPTS`] conflicts or when a writer stays
+    /// mid-mutation for [`Self::ODD_SEQ_SPINS`] polls.
     ///
     /// `f` must honor [`InodeMem`]'s optimistic-reader contract (touch only
     /// torn-tolerant fields) and must tolerate torn *values* — anything it
@@ -610,8 +596,14 @@ impl Nova {
             // replace the radix tree; the pin keeps the retired subtree
             // alive until we are done walking it.
             let _g = denova_sync::pin();
-            let Some(s1) = slot.seq.read_begin() else {
-                break; // writer active: go straight to the lock
+            let Some(s1) = (0..Self::ODD_SEQ_SPINS).find_map(|_| {
+                let s = slot.seq.read_begin();
+                if s.is_none() {
+                    std::hint::spin_loop();
+                }
+                s
+            }) else {
+                break; // writer still active: wait on the lock instead
             };
             // SAFETY: no `&mut` aliasing UB — the whole InodeMem sits in an
             // UnsafeCell, and `f` only reads atomic fields (the contract
@@ -672,22 +664,7 @@ impl Nova {
     /// turn, so it runs concurrently with foreground I/O.
     pub fn referenced_blocks(&self) -> crate::alloc::BlockBitmap {
         let mut bitmap = crate::alloc::BlockBitmap::new(self.layout.total_blocks);
-        // Shard-by-shard: no global-map lock, no all-inodes snapshot
-        // allocation — at most one shard's Arcs are cloned at a time.
-        let mut slots = Vec::new();
-        for si in 0..self.inode_map.shard_count() {
-            self.inode_map.collect_shard(si, &mut slots);
-            for (_ino, slot) in &slots {
-                let _r = slot.lock.read();
-                // SAFETY: read lock held (see with_inode_read).
-                let mem = unsafe { &*slot.mem.get() };
-                mem.radix.for_each(|_, e| {
-                    if e.block != crate::layout::HOLE_BLOCK {
-                        bitmap.set(e.block);
-                    }
-                });
-            }
-        }
+        self.for_each_mapped_block(|block| bitmap.set(block));
         bitmap
     }
 
@@ -696,32 +673,34 @@ impl Nova {
     /// over-increment cases of Section V-C2.
     pub fn block_reference_counts(&self) -> HashMap<u64, u32> {
         let mut counts: HashMap<u64, u32> = HashMap::new();
-        let mut slots = Vec::new();
-        for si in 0..self.inode_map.shard_count() {
-            self.inode_map.collect_shard(si, &mut slots);
-            for (_ino, slot) in &slots {
-                let _r = slot.lock.read();
-                // SAFETY: read lock held (see with_inode_read).
-                let mem = unsafe { &*slot.mem.get() };
-                mem.radix.for_each(|_, e| {
-                    if e.block != crate::layout::HOLE_BLOCK {
-                        *counts.entry(e.block).or_insert(0) += 1;
-                    }
-                });
-            }
-        }
+        self.for_each_mapped_block(|block| *counts.entry(block).or_insert(0) += 1);
         counts
     }
 
-    /// Inode numbers currently live (excluding the root directory).
+    /// Call `f` for every data block mapped by any file's radix tree (once
+    /// per mapping), taking each inode's read lock in turn.
+    fn for_each_mapped_block(&self, mut f: impl FnMut(u64)) {
+        self.inode_map.for_each(|_, slot| {
+            let _r = slot.lock.read();
+            // SAFETY: read lock held (see with_inode_read).
+            let mem = unsafe { &*slot.mem.get() };
+            mem.radix.for_each(|_, e| {
+                if e.block != crate::layout::HOLE_BLOCK {
+                    f(e.block);
+                }
+            });
+        });
+    }
+
+    /// Inode numbers currently live (excluding the root directory), in
+    /// ascending order.
     pub fn live_inodes(&self) -> Vec<u64> {
         let mut inos = Vec::new();
-        let mut slots = Vec::new();
-        for si in 0..self.inode_map.shard_count() {
-            self.inode_map.collect_shard(si, &mut slots);
-            inos.extend(slots.iter().map(|(ino, _)| *ino).filter(|&i| i != ROOT_INO));
-        }
-        inos.sort();
+        self.inode_map.for_each(|ino, _| {
+            if ino != ROOT_INO {
+                inos.push(ino);
+            }
+        });
         inos
     }
 
@@ -854,7 +833,7 @@ impl Nova {
             Ok(())
         })?;
         ns.remove(name);
-        let remaining = ns.values().filter(|&&i| i == ino).count();
+        let nlink = self.drop_link(ino)?;
         let pending = self.emit_op(|| FsOp::Unlink {
             name: name.to_string(),
         });
@@ -862,10 +841,7 @@ impl Nova {
         Nova::settle_op(pending);
         self.dev.crash_point("nova::unlink::after_dentry");
 
-        let table = self.table();
-        let nlink = table.read(ino)?.link_count;
-        table.set_link_count(ino, nlink.saturating_sub(1))?;
-        if remaining == 0 {
+        if nlink == 0 {
             // Release the file's resources. A crash anywhere below leaks
             // nothing: recovery rebuilds the free list from live logs, and
             // the dedup scrubber reconciles FACT.
@@ -873,6 +849,16 @@ impl Nova {
         }
         NovaStats::add(&self.stats.unlinks, 1);
         Ok(())
+    }
+
+    /// Take one name away from `ino`'s persistent link count and return
+    /// the names left. Callers hold the namespace lock, so the count always
+    /// equals the inode's names and exactly one caller sees it reach zero.
+    fn drop_link(&self, ino: u64) -> Result<u64> {
+        let table = self.table();
+        let nlink = table.read(ino)?.link_count.saturating_sub(1);
+        table.set_link_count(ino, nlink)?;
+        Ok(nlink)
     }
 
     /// Current size of the file at `ino` (lock-free on the happy path).
@@ -930,23 +916,20 @@ impl Nova {
         })?;
         ns.remove(from);
         ns.insert(to.to_string(), ino);
+        // The clobbered inode loses one name; it is only released when that
+        // was its last (it may have other hard links).
+        let last_name_of = match clobbered {
+            Some(old) if self.drop_link(old)? == 0 => Some(old),
+            _ => None,
+        };
         let pending = self.emit_op(|| FsOp::Rename {
             from: from.to_string(),
             to: to.to_string(),
         });
-        // The clobbered inode loses one name; it is only released when that
-        // was its last (it may have other hard links).
-        let clobbered_remaining =
-            clobbered.map(|old| (old, ns.values().filter(|&&i| i == old).count()));
         drop(ns);
         Nova::settle_op(pending);
-        if let Some((old, remaining)) = clobbered_remaining {
-            let table = self.table();
-            let nlink = table.read(old)?.link_count;
-            table.set_link_count(old, nlink.saturating_sub(1))?;
-            if remaining == 0 {
-                self.release_inode(old)?;
-            }
+        if let Some(old) = last_name_of {
+            self.release_inode(old)?;
         }
         Ok(())
     }
@@ -1022,9 +1005,12 @@ impl Nova {
             dead.mark_dead();
             *ctx.mem = dead;
         }
-        self.table().clear(ino)?;
+        // Unmap before freeing the PM slot: once it is free, a concurrent
+        // create may claim this ino and map its new inode here.
         self.inode_map.remove(ino);
-        Ok(())
+        #[cfg(test)]
+        tests::pause_in_release_gap();
+        self.table().clear(ino)
     }
 }
 
@@ -1164,16 +1150,137 @@ impl InodeCtx<'_> {
 mod tests {
     use super::*;
 
+    /// Microseconds `release_inode` sleeps between unmapping an inode and
+    /// freeing its PM slot, to widen that window for the reuse race test.
+    static RELEASE_GAP_US: AtomicU64 = AtomicU64::new(0);
+
+    pub(super) fn pause_in_release_gap() {
+        let us = RELEASE_GAP_US.load(Ordering::Relaxed);
+        if us > 0 {
+            std::thread::sleep(std::time::Duration::from_micros(us));
+        }
+    }
+
     fn mkfs() -> Nova {
+        mkfs_with(128)
+    }
+
+    fn mkfs_with(num_inodes: u64) -> Nova {
         let dev = Arc::new(PmemDevice::new(32 * 1024 * 1024));
         Nova::mkfs(
             dev,
             NovaOptions {
-                num_inodes: 128,
+                num_inodes,
                 ..Default::default()
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn reused_inos_never_lose_the_new_inode() {
+        // Eight slots (six files) and two churning threads that each keep
+        // their previous file alive across an iteration: creates keep
+        // reusing inos the other thread has just released. A release that
+        // unmapped after freeing the PM slot could unmap the other thread's
+        // new file, whose next operation would then fail with BadInode.
+        RELEASE_GAP_US.store(200, Ordering::Relaxed);
+        let fs = Arc::new(mkfs_with(8));
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let fs = fs.clone();
+                std::thread::spawn(move || {
+                    let mut prev: Option<(String, u64, Vec<u8>)> = None;
+                    for i in 0..300u32 {
+                        let name = format!("t{t}-{i}");
+                        let ino = fs.create(&name).unwrap();
+                        let data = vec![(i % 250) as u8 + 1; 4096];
+                        fs.write(ino, 0, &data)
+                            .unwrap_or_else(|e| panic!("write {name} (ino {ino}): {e:?}"));
+                        if let Some((name, ino, data)) = prev.replace((name, ino, data)) {
+                            let got = fs.read(ino, 0, 4096).map(|b| b == data);
+                            assert_eq!(got, Ok(true), "read {name} (ino {ino})");
+                            fs.unlink(&name).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        RELEASE_GAP_US.store(0, Ordering::Relaxed);
+        let report = crate::fsck::check(&fs, false).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn concurrent_link_unlink_keeps_nlink_exact() {
+        let fs = Arc::new(mkfs());
+        let ino = fs.create("a").unwrap();
+        fs.write(ino, 0, &vec![9u8; 8192]).unwrap();
+        // Two threads add names to the inode and remove every other one,
+        // so links and unlinks of the same inode interleave. Slow device
+        // reads that yield the CPU widen every window in which two
+        // link-count updates could interleave.
+        fs.device().set_latency(denova_pmem::LatencyProfile {
+            name: "slow reads",
+            read_latency_ns: 20_000,
+            ..denova_pmem::LatencyProfile::none()
+        });
+        fs.device().set_blocking_latency(true);
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let fs = fs.clone();
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        let name = format!("t{t}-{i}");
+                        fs.link("a", &name).unwrap();
+                        if i % 2 == 0 {
+                            fs.unlink(&name).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        fs.device().set_latency(denova_pmem::LatencyProfile::none());
+        let mut names: Vec<String> = fs.list();
+        names.sort();
+        assert_eq!(names.len(), 201);
+        assert_eq!(fs.stat(ino).unwrap().nlink, 201);
+        // Take the names away one at a time: the inode and its data stay
+        // until the last one goes, and then it is released at once.
+        let (last, rest) = names.split_last().unwrap();
+        for (left, name) in (1..=rest.len()).rev().zip(rest) {
+            fs.unlink(name).unwrap();
+            assert_eq!(fs.stat(ino).unwrap().nlink, left as u64);
+            assert_eq!(fs.read(ino, 0, 8192).unwrap(), vec![9u8; 8192]);
+        }
+        let free_before = fs.free_blocks();
+        fs.unlink(last).unwrap();
+        assert_eq!(fs.stat(ino), Err(NovaError::BadInode(ino)));
+        assert!(fs.free_blocks() > free_before);
+        let report = crate::fsck::check(&fs, false).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn out_of_range_and_freed_inos_are_bad_inode() {
+        let fs = mkfs();
+        let freed = fs.create("gone").unwrap();
+        fs.write(freed, 0, b"x").unwrap();
+        fs.unlink("gone").unwrap();
+        for ino in [0, 128, 129, u64::MAX, freed] {
+            let bad = NovaError::BadInode(ino);
+            assert_eq!(fs.read(ino, 0, 1).unwrap_err(), bad, "read {ino}");
+            assert_eq!(fs.write(ino, 0, b"y").unwrap_err(), bad, "write {ino}");
+            assert_eq!(fs.truncate(ino, 0).unwrap_err(), bad, "truncate {ino}");
+            assert_eq!(fs.file_size(ino).unwrap_err(), bad, "file_size {ino}");
+            assert_eq!(fs.stat(ino).unwrap_err(), bad, "stat {ino}");
+        }
     }
 
     #[test]

@@ -610,7 +610,7 @@ mod tests {
     use super::*;
     use crate::server::{Server, SvcConfig};
     use denova::{DedupMode, Denova};
-    use denova_nova::NovaOptions;
+    use denova_nova::{NovaError, NovaOptions};
     use denova_pmem::PmemDevice;
 
     fn server() -> Server {
@@ -657,6 +657,36 @@ mod tests {
             client.pipeline_recv().unwrap_err().code,
             SvcError::BAD_REQUEST
         );
+        drop(client);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_and_freed_inos_return_bad_inode_over_loopback() {
+        let srv = server();
+        let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
+        let freed = client.create("gone").unwrap();
+        client.write_at(freed, 0, b"x").unwrap();
+        client.unlink("gone").unwrap();
+        // Raw inode numbers straight off the wire: 0, the table size (128),
+        // far past it, and a released inode.
+        for ino in [0, 128, u64::MAX, freed] {
+            let errs = [
+                client.read_at(ino, 0, 1).unwrap_err(),
+                client.write_at(ino, 0, b"y").unwrap_err(),
+                client.write_at(ino, 0, &[7u8; 4096]).unwrap_err(),
+                client.stat(ino).unwrap_err(),
+                client.truncate(ino, 0).unwrap_err(),
+            ];
+            for err in errs {
+                assert_eq!(err.code, NovaError::BadInode(ino).code(), "{ino}: {err:?}");
+                assert_eq!(err.to_nova(), Some(NovaError::BadInode(ino)));
+            }
+        }
+        // The connection and the server survive every rejection.
+        let ino = client.create("ok").unwrap();
+        client.write_at(ino, 0, b"fine").unwrap();
+        assert_eq!(client.read_at(ino, 0, 4).unwrap(), b"fine".to_vec());
         drop(client);
         srv.shutdown();
     }

@@ -16,9 +16,11 @@
 //!   unlinked memory with [`defer`], and the collector frees it only after
 //!   two epoch advances, i.e. once every reader that could have observed
 //!   the old pointer has unpinned.
-//! * [`RcuCell`] — a published pointer to an immutable snapshot. Readers
-//!   dereference it under a pin without any lock; writers clone-modify-
-//!   publish and retire the previous snapshot through the epoch collector.
+//! * [`RcuCell`] — a published pointer to an immutable value. Readers
+//!   dereference it under a pin without any lock; writers either
+//!   clone-modify-publish a whole snapshot (a FACT stripe table) or publish
+//!   and clear a single value (one inode-table slot), and the replaced value
+//!   is retired through the epoch collector.
 //! * [`Stack`] — a Treiber-stack freelist (lock-free LIFO) whose pop path
 //!   relies on the epoch collector to keep unlinked nodes alive while a
 //!   racing pop may still be reading them.

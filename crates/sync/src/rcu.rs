@@ -1,6 +1,6 @@
 //! RCU-style published pointer: readers dereference an immutable snapshot
-//! under an epoch pin; writers replace the snapshot wholesale and retire
-//! the old one through the epoch collector.
+//! under an epoch pin; writers replace (or clear) the snapshot wholesale and
+//! retire the old one through the epoch collector.
 
 use crate::epoch::{self, Guard};
 use std::ptr;
@@ -10,11 +10,12 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 ///
 /// * `load` is wait-free: one atomic load, no lock. The returned reference
 ///   is valid for the lifetime of the caller's pin guard.
-/// * `publish` swaps in a new snapshot and defers dropping the old one
-///   until every reader pinned before the swap has unpinned. Concurrent
-///   publishers must be serialized externally (in DENOVA every `RcuCell`
-///   is written under an existing mutex — a FACT stripe lock or a map
-///   shard lock).
+/// * `publish` swaps in a new snapshot (`clear` swaps in nothing) and
+///   defers dropping the old one until every reader pinned before the swap
+///   has unpinned. Each old value is retired exactly once whatever the
+///   interleaving, but publishers that must agree on *which* value ends up
+///   published are serialized externally (a FACT stripe lock; for an inode
+///   table slot, the PM inode allocation that owns the ino).
 pub struct RcuCell<T: Send + Sync + 'static> {
     ptr: AtomicPtr<T>,
 }
@@ -45,9 +46,18 @@ impl<T: Send + Sync + 'static> RcuCell<T> {
     }
 
     /// Publish a new snapshot; the previous one is dropped after a grace
-    /// period. Callers must serialize publishes externally.
+    /// period (see the type docs for when publishers must serialize).
     pub fn publish(&self, value: T) {
-        let new = Box::into_raw(Box::new(value));
+        self.replace(Box::into_raw(Box::new(value)));
+    }
+
+    /// Empty the cell (readers see `None`); the previous value is dropped
+    /// after a grace period.
+    pub fn clear(&self) {
+        self.replace(ptr::null_mut());
+    }
+
+    fn replace(&self, new: *mut T) {
         let old = self.ptr.swap(new, Ordering::AcqRel);
         if !old.is_null() {
             let old = RawBox(old);
@@ -65,14 +75,7 @@ impl<T: Send + Sync + 'static> Drop for RcuCell<T> {
         // but a reader on another thread may still hold the reference via
         // an earlier pin if the owner dropped the containing structure
         // while shared — retire through the collector to stay safe.
-        let p = self.ptr.swap(ptr::null_mut(), Ordering::AcqRel);
-        if !p.is_null() {
-            let p = RawBox(p);
-            epoch::defer(move || {
-                let b = p;
-                drop(unsafe { Box::from_raw(b.0) });
-            });
-        }
+        self.clear();
     }
 }
 
@@ -107,6 +110,62 @@ mod tests {
         assert_eq!(cell.load(&g).unwrap(), &vec![1, 2, 3]);
         cell.publish(vec![4]);
         assert_eq!(cell.load(&g).unwrap(), &vec![4]);
+    }
+
+    #[test]
+    fn clear_empties_the_cell_and_retires_the_value() {
+        let cell = RcuCell::new(vec![1, 2, 3]);
+        let g = epoch::pin();
+        let before = cell.load(&g).unwrap();
+        cell.clear();
+        assert!(cell.load(&g).is_none());
+        // The pin taken before the clear keeps the old value readable.
+        assert_eq!(before, &vec![1, 2, 3]);
+        cell.clear(); // clearing an empty cell is a no-op
+        cell.publish(vec![9]);
+        assert_eq!(cell.load(&g).unwrap(), &vec![9]);
+    }
+
+    #[test]
+    fn concurrent_readers_see_a_value_or_none_across_clears() {
+        // The cell alternates between a complete (n, n * 2) pair and
+        // empty; a reader must see one or the other, never a torn or
+        // freed pair (which would fail the invariant or crash under
+        // ASan/TSan). The writer keeps going until the readers have
+        // loaded many times, however late they are scheduled.
+        let cell = Arc::new(RcuCell::new((0u64, 0u64)));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let loads = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let (cell, stop, loads) = (cell.clone(), stop.clone(), loads.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let g = epoch::pin();
+                        if let Some(&(a, b)) = cell.load(&g) {
+                            assert_eq!(b, a * 2);
+                        }
+                        loads.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        let freed0 = epoch::freed_objects();
+        let mut i = 0u64;
+        while i < 5_000 || loads.load(Ordering::Relaxed) < 20_000 {
+            i += 1;
+            cell.publish((i, i * 2));
+            cell.clear();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        epoch::try_collect();
+        assert!(
+            epoch::freed_objects() > freed0,
+            "cleared values never freed"
+        );
     }
 
     #[test]

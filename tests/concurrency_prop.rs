@@ -115,8 +115,9 @@ proptest! {
         let fails = failures.lock().unwrap();
         prop_assert!(fails.is_empty(), "{}", fails.join("; "));
         prop_assert!(reads_done.load(Ordering::Relaxed) > 0, "readers never ran");
-        // The readers really did exercise the optimistic path (hits are
-        // cumulative across proptest cases; any progress proves the path).
+        // The readers really did exercise the optimistic path. Every case
+        // mkfs's a fresh device with its own counters, so each case must
+        // record at least one optimistic hit of its own.
         let stats = fs.nova().stats();
         prop_assert!(
             denova_nova::NovaStats::get(&stats.read_optimistic_hits) > 0,
