@@ -294,7 +294,7 @@ impl Fact {
             reorder_candidates: Mutex::new(std::collections::HashSet::new()),
             reorder_walk_threshold: std::sync::atomic::AtomicU64::new(3),
             reorder_rfc_threshold: std::sync::atomic::AtomicU32::new(2),
-            fp: crate::fp::FpThrottle::none(),
+            fp: crate::fp::FpThrottle::new(dev.metrics()),
             filter: PresenceFilter::new(layout.fact_entries()),
             // Publish empty tables up front so an entry missing from a
             // stripe's table authoritatively means "absent" from the start.

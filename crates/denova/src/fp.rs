@@ -13,9 +13,15 @@
 //! (default: the paper's Table IV value). This substitution is documented in
 //! DESIGN.md. Tests that only care about *correctness* use
 //! [`FpThrottle::none`], which adds nothing.
+//!
+//! Padding can only add time. A host whose SHA-1 is slower than the target
+//! runs every fingerprint at host speed, above `T_f`; the gauges
+//! `fp.host_ns_per_4k` and `fp.overshoot_ns` (host − target, 0 when the
+//! host meets it) make that visible in `stats`.
 
 use denova_fingerprint::Fingerprint;
 use denova_pmem::{block_ns, spin_ns};
+use denova_telemetry::{Gauge, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -32,13 +38,31 @@ pub struct FpThrottle {
     /// cores than dedup workers (same rationale as
     /// `PmemDevice::set_blocking_latency`).
     blocking: AtomicBool,
+    /// `fp.host_ns_per_4k`: the host's SHA-1 cost per 4 KB, as last
+    /// measured.
+    host_ns: Gauge,
+    /// `fp.overshoot_ns`: how far the host exceeds the calibrated target
+    /// (0 when it meets the target or none is set).
+    overshoot_ns: Gauge,
 }
 
 impl FpThrottle {
     /// No padding: raw host SHA-1 speed (the default for correctness
-    /// tests).
+    /// tests). Its gauges are not registered anywhere.
     pub fn none() -> FpThrottle {
         FpThrottle::default()
+    }
+
+    /// No padding yet, with the `fp.*` gauges registered in `metrics` and
+    /// the host's SHA-1 cost measured.
+    pub fn new(metrics: &MetricsRegistry) -> FpThrottle {
+        let t = FpThrottle {
+            host_ns: metrics.gauge("fp.host_ns_per_4k"),
+            overshoot_ns: metrics.gauge("fp.overshoot_ns"),
+            ..FpThrottle::default()
+        };
+        t.host_ns.set(Self::measure_host_fp_ns() as i64);
+        t
     }
 
     /// Measure the host's SHA-1 cost for a 4 KB chunk (best of several
@@ -55,11 +79,21 @@ impl FpThrottle {
             .unwrap_or(0)
     }
 
-    /// Calibrate so a 4 KB fingerprint costs `target_ns_per_4k` in total.
+    /// Calibrate so a 4 KB fingerprint costs `target_ns_per_4k` in total,
+    /// or the host's own cost if that is higher (see `fp.overshoot_ns`).
     pub fn set_target(&self, target_ns_per_4k: u64) {
-        let host = Self::measure_host_fp_ns();
-        self.extra_ns_per_4k
-            .store(target_ns_per_4k.saturating_sub(host), Ordering::Relaxed);
+        self.set_target_with_host(target_ns_per_4k, Self::measure_host_fp_ns());
+    }
+
+    /// [`Self::set_target`] against a given host cost.
+    fn set_target_with_host(&self, target_ns_per_4k: u64, host_ns_per_4k: u64) {
+        self.host_ns.set(host_ns_per_4k as i64);
+        self.overshoot_ns
+            .set(host_ns_per_4k.saturating_sub(target_ns_per_4k) as i64);
+        self.extra_ns_per_4k.store(
+            target_ns_per_4k.saturating_sub(host_ns_per_4k),
+            Ordering::Relaxed,
+        );
     }
 
     /// Calibrate to the paper's Table IV fingerprint latency.
@@ -67,9 +101,10 @@ impl FpThrottle {
         self.set_target(PAPER_FP_NS_PER_4K);
     }
 
-    /// Disable padding.
+    /// Disable padding (and with it the target, so nothing overshoots).
     pub fn clear(&self) {
         self.extra_ns_per_4k.store(0, Ordering::Relaxed);
+        self.overshoot_ns.set(0);
     }
 
     /// Set the padding directly, without re-measuring the host (the QoS
@@ -150,6 +185,35 @@ mod tests {
         t.fingerprint(&four);
         let four_ns = t0.elapsed().as_nanos() as u64;
         assert!(four_ns > one_ns * 2, "four {four_ns} vs one {one_ns}");
+    }
+
+    #[test]
+    fn calibration_pads_a_fast_host_and_reports_a_slow_one() {
+        let registry = MetricsRegistry::new();
+        let gauges = || {
+            let snap = registry.snapshot();
+            (
+                snap.gauge("fp.host_ns_per_4k").expect("host gauge"),
+                snap.gauge("fp.overshoot_ns").expect("overshoot gauge"),
+            )
+        };
+        let t = FpThrottle::new(&registry);
+        assert!(gauges().0 > 0, "host cost measured at construction");
+        // A host faster than the target is padded up to it.
+        t.set_target_with_host(11_780, 3_000);
+        assert_eq!(t.extra_ns_per_4k(), 8_780);
+        assert_eq!(gauges(), (3_000, 0));
+        // Exactly on target: no pad, no overshoot.
+        t.set_target_with_host(11_780, 11_780);
+        assert_eq!(t.extra_ns_per_4k(), 0);
+        assert_eq!(gauges(), (11_780, 0));
+        // A slower host cannot be sped up: no pad, and the overshoot shows.
+        t.set_target_with_host(11_780, 18_000);
+        assert_eq!(t.extra_ns_per_4k(), 0);
+        assert_eq!(gauges(), (18_000, 6_220));
+        // Clearing drops the target, so nothing overshoots it.
+        t.clear();
+        assert_eq!(gauges(), (18_000, 0));
     }
 
     #[test]

@@ -255,6 +255,8 @@ mod tests {
             reorder_chain(fact, 17).unwrap();
         }));
         dev.crash_points().reset();
+        // Recovery runs after the restart, on a device that persists again.
+        dev.power_on();
         r.is_err()
     }
 

@@ -9,12 +9,48 @@
 //! [`MetricsRegistry`] under a `fact.*` / `denova.*` / `dwq.*` name, so the
 //! same numbers surface through `denova-cli stats` and the bench harness.
 //! DWQ lingering times are additionally recorded into the `dwq.linger_ns`
-//! histogram; the raw per-node vector is kept because Fig. 10 needs the
-//! exact CDF, not log-bucket approximations.
+//! histogram; the most recent `LINGER_SAMPLES` raw per-node values are
+//! kept as well, because Fig. 10 needs the exact CDF, not log-bucket
+//! approximations.
 
 use denova_telemetry::{Counter, Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 use std::time::Duration;
+
+/// Raw DWQ lingering samples kept for Fig. 10: 2^18 (2 MiB), enough for the
+/// paper-scale 250k-file run. Older samples are overwritten, so a
+/// long-running server holds at most this many.
+const LINGER_SAMPLES: usize = 1 << 18;
+
+/// The last [`LINGER_SAMPLES`] lingering times, in a ring that grows up to
+/// its capacity and then overwrites the oldest sample.
+#[derive(Debug, Default)]
+struct LingerRing {
+    samples: Vec<u64>,
+    /// Samples ever recorded; `recorded % LINGER_SAMPLES` is the next slot
+    /// once the ring is full.
+    recorded: usize,
+}
+
+impl LingerRing {
+    fn push(&mut self, ns: u64) {
+        if self.samples.len() < LINGER_SAMPLES {
+            self.samples.push(ns);
+        } else {
+            self.samples[self.recorded % LINGER_SAMPLES] = ns;
+        }
+        self.recorded += 1;
+    }
+
+    /// The kept samples, oldest first.
+    fn to_vec(&self) -> Vec<u64> {
+        let mut v = self.samples.clone();
+        if self.recorded > LINGER_SAMPLES {
+            v.rotate_left(self.recorded % LINGER_SAMPLES);
+        }
+        v
+    }
+}
 
 /// Shared dedup counters, backed by a [`MetricsRegistry`]. All counters use
 /// relaxed atomics — statistics, not synchronization.
@@ -50,8 +86,9 @@ pub struct DedupStats {
     enqueued: Counter,
     dequeued: Counter,
     linger_hist: Histogram,
-    /// Lingering time (enqueue → dequeue) per node, for the Fig. 10 CDF.
-    lingering_ns: Mutex<Vec<u64>>,
+    /// Lingering time (enqueue → dequeue) of the most recent nodes, for
+    /// the Fig. 10 CDF.
+    lingering_ns: Mutex<LingerRing>,
     // Reordering.
     reorders: Counter,
     // Extent-granular dedup (run promotion in `fact.rs` / `dedup.rs`).
@@ -94,7 +131,7 @@ impl DedupStats {
             enqueued: registry.counter("dwq.enqueued"),
             dequeued: registry.counter("dwq.dequeued"),
             linger_hist: registry.histogram("dwq.linger_ns"),
-            lingering_ns: Mutex::new(Vec::new()),
+            lingering_ns: Mutex::new(LingerRing::default()),
             reorders: registry.counter("fact.reorders"),
             promoted_runs: registry.counter("denova.extent.promoted_runs"),
             run_pages: registry.counter("denova.extent.run_pages"),
@@ -338,10 +375,11 @@ impl DedupStats {
         self.dequeued.get()
     }
 
-    /// Lingering times of every dequeued DWQ node, in nanoseconds
-    /// (Fig. 10's raw data).
+    /// Lingering times of the last 2^18 dequeued DWQ nodes, oldest first,
+    /// in nanoseconds (Fig. 10's raw data; enough for its paper-scale
+    /// 250k-file run).
     pub fn lingering_ns(&self) -> Vec<u64> {
-        self.lingering_ns.lock().clone()
+        self.lingering_ns.lock().to_vec()
     }
 
     /// IAA chain reorders performed.
@@ -407,6 +445,22 @@ mod tests {
         let l = s.lingering_ns();
         assert_eq!(l.len(), 2);
         assert!(l[0] >= 5_000_000 && l[1] >= 10_000_000);
+    }
+
+    #[test]
+    fn lingering_samples_stop_at_the_cap() {
+        let s = DedupStats::default();
+        let extra = 5;
+        for i in 0..(LINGER_SAMPLES + extra) as u64 {
+            s.record_dequeue(Duration::from_nanos(i));
+        }
+        assert_eq!(s.dequeued(), (LINGER_SAMPLES + extra) as u64);
+        let l = s.lingering_ns();
+        assert_eq!(l.len(), LINGER_SAMPLES);
+        // The oldest samples were overwritten; the rest stay in order.
+        assert_eq!(l[0], extra as u64);
+        assert_eq!(*l.last().unwrap(), (LINGER_SAMPLES + extra - 1) as u64);
+        assert!(l.windows(2).all(|w| w[0] + 1 == w[1]));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! because the reproduction must own every substrate the paper depends on.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod chunk;
 mod sha1;

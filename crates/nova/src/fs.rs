@@ -378,6 +378,8 @@ impl Nova {
     /// NOVA uses after both clean and unclean shutdown; we always rebuild
     /// from the logs, which is strictly more conservative).
     pub fn mount(dev: Arc<PmemDevice>, opts: NovaOptions) -> Result<Nova> {
+        // Mounting is the restart after a crash: persistence resumes.
+        dev.power_on();
         let layout = superblock::read_superblock(&dev)?;
         let recovered = crate::recovery::recover(&dev, &layout, opts.cpus)?;
         superblock::set_clean_unmount(&dev, false);

@@ -81,12 +81,20 @@ struct PageShadow {
 }
 
 impl PageShadow {
-    fn capture(current: *const u8) -> PageShadow {
+    /// A shadow of the page whose current content is the `len` bytes at
+    /// `current` (less than a page only for a device's last, partial page),
+    /// with no dirty lines.
+    ///
+    /// # Safety
+    ///
+    /// `current` must be valid for reads of `len <= PAGE_SIZE` bytes.
+    unsafe fn capture(current: *const u8, len: usize) -> PageShadow {
+        assert!(len <= PAGE_SIZE, "shadow capture beyond one page");
         let mut persisted: Box<[u8; PAGE_SIZE]> =
             vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap();
-        unsafe {
-            std::ptr::copy_nonoverlapping(current, persisted.as_mut_ptr(), PAGE_SIZE);
-        }
+        // SAFETY: the caller guarantees `current` covers `len` bytes, and
+        // `persisted` is a separate allocation of PAGE_SIZE >= len bytes.
+        unsafe { std::ptr::copy_nonoverlapping(current, persisted.as_mut_ptr(), len) };
         PageShadow {
             persisted,
             dirty_mask: 0,
@@ -128,6 +136,11 @@ impl PmemBuilder {
     pub fn build(self) -> PmemDevice {
         let size = self.size.div_ceil(CACHE_LINE) * CACHE_LINE;
         let mut buf = vec![0u8; size].into_boxed_slice();
+        // Atomic 8-byte stores address the buffer by offset.
+        assert!(
+            size == 0 || (buf.as_ptr() as usize).is_multiple_of(8),
+            "device buffer not 8-byte aligned"
+        );
         // Pre-fault the backing memory: without this, every first store to a
         // 4 KB region pays an OS page fault *during a measured operation*,
         // polluting latency numbers with host-VM noise.
@@ -157,6 +170,7 @@ impl PmemBuilder {
             flush_lines,
             crash_points: CrashPointRegistry::new(),
             blocking_latency: AtomicBool::new(false),
+            down: AtomicBool::new(false),
         }
     }
 }
@@ -178,6 +192,10 @@ pub struct PmemDevice {
     /// [`crate::latency::block_ns`]) instead of spinning, so concurrent
     /// device operations overlap on hosts with fewer cores than threads.
     blocking_latency: AtomicBool,
+    /// Set by [`PmemDevice::crash_in_place`] until
+    /// [`PmemDevice::power_on`]: the machine is down, so fences persist
+    /// nothing.
+    down: AtomicBool,
 }
 
 // SAFETY: interior mutability of `buf` is raced only if callers race plain
@@ -277,37 +295,42 @@ impl PmemDevice {
         &self.shards[(page as usize) % NSHARDS]
     }
 
-    /// Mark lines `[first, last]` (inclusive, global line indices) as about
-    /// to be dirtied: capture page shadows on first touch and bump every
-    /// line's write epoch (invalidating earlier, un-fenced flushes of those
-    /// lines).
-    fn mark_dirty(&self, first: u64, last: u64) {
-        let first_page = first / LINES_PER_PAGE as u64;
-        let last_page = last / LINES_PER_PAGE as u64;
-        for page in first_page..=last_page {
-            let mut map = self.shard_for(page).lock();
-            let shadow = map.entry(page).or_insert_with(|| {
-                PageShadow::capture(unsafe { self.ptr().add((page * PAGE_SIZE as u64) as usize) })
-            });
-            let lo = (first.max(page * LINES_PER_PAGE as u64) % LINES_PER_PAGE as u64) as usize;
-            let hi =
-                (last.min((page + 1) * LINES_PER_PAGE as u64 - 1) % LINES_PER_PAGE as u64) as usize;
-            let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
+    /// Land a store to the range-checked, non-empty byte range `[off, off +
+    /// len)`. For each page it touches, under that page's shard lock:
+    /// capture the page's shadow on first touch, mark the stored lines dirty
+    /// with a fresh write epoch (invalidating earlier, un-fenced flushes of
+    /// them), then run `apply(start, end)` to change the page's part
+    /// `[start, end)` of the buffer. Holding the lock across `apply` makes
+    /// each page's part of a store atomic with respect to
+    /// [`Self::crash_in_place`], which reverts and drops shadows under the
+    /// same locks: a store is either reverted by a crash or tracked after
+    /// it, never left in the buffer untracked.
+    fn store(&self, off: u64, len: usize, mut apply: impl FnMut(usize, usize)) {
+        let end = off + len as u64;
+        for page in off / PAGE_SIZE as u64..=(end - 1) / PAGE_SIZE as u64 {
+            let page_start = page * PAGE_SIZE as u64;
+            let start = off.max(page_start);
+            let stop = end.min(page_start + PAGE_SIZE as u64);
+            let lo = ((start - page_start) / CACHE_LINE as u64) as usize;
+            let hi = ((stop - 1 - page_start) / CACHE_LINE as u64) as usize;
             let span = hi - lo + 1;
             let mask = if span == LINES_PER_PAGE {
                 !0u64
             } else {
                 ((1u64 << span) - 1) << lo
             };
+            let page_len = PAGE_SIZE.min(self.size() - page_start as usize);
+            let mut map = self.shard_for(page).lock();
+            let shadow = map.entry(page).or_insert_with(|| {
+                // SAFETY: the caller range-checked `[off, off + len)`, so
+                // `page` starts inside the buffer, and `page_len` stops at
+                // its end.
+                unsafe { PageShadow::capture(self.ptr().add(page_start as usize), page_len) }
+            });
             shadow.dirty_mask |= mask;
-            shadow.epochs[lo..=hi].fill(epoch);
+            shadow.epochs[lo..=hi].fill(NEXT_EPOCH.fetch_add(1, Ordering::Relaxed));
+            apply(start as usize, stop as usize);
         }
-    }
-
-    /// Single-line variant of [`Self::mark_dirty`].
-    #[inline]
-    fn dirty_line(&self, line: u64) {
-        self.mark_dirty(line, line);
     }
 
     // ------------------------------------------------------------------
@@ -403,13 +426,18 @@ impl PmemDevice {
         if data.is_empty() {
             return;
         }
-        let first = off / CACHE_LINE as u64;
-        let last = (off + data.len() as u64 - 1) / CACHE_LINE as u64;
-        self.mark_dirty(first, last);
         self.stats.record_write(data.len() as u64);
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr().add(off as usize), data.len());
-        }
+        self.store(off, data.len(), |start, stop| {
+            // SAFETY: `[start, stop)` is inside both the range-checked
+            // device range and `data` (shifted by `off`).
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    data.as_ptr().add(start - off as usize),
+                    self.ptr().add(start),
+                    stop - start,
+                );
+            }
+        });
     }
 
     /// Vectored store: land every `(off, data)` span in the simulated cache
@@ -424,17 +452,18 @@ impl PmemDevice {
                 continue;
             }
             self.check_range(off, data.len());
-            let first = off / CACHE_LINE as u64;
-            let last = (off + data.len() as u64 - 1) / CACHE_LINE as u64;
-            self.mark_dirty(first, last);
             total += data.len() as u64;
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    data.as_ptr(),
-                    self.ptr().add(off as usize),
-                    data.len(),
-                );
-            }
+            self.store(off, data.len(), |start, stop| {
+                // SAFETY: `[start, stop)` is inside both the range-checked
+                // device range and `data` (shifted by `off`).
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        data.as_ptr().add(start - off as usize),
+                        self.ptr().add(start),
+                        stop - start,
+                    );
+                }
+            });
         }
         if total > 0 {
             self.stats.record_write(total);
@@ -462,13 +491,11 @@ impl PmemDevice {
         if len == 0 {
             return;
         }
-        let first = off / CACHE_LINE as u64;
-        let last = (off + len as u64 - 1) / CACHE_LINE as u64;
-        self.mark_dirty(first, last);
         self.stats.record_write(len as u64);
-        unsafe {
-            std::ptr::write_bytes(self.ptr().add(off as usize), val, len);
-        }
+        self.store(off, len, |start, stop| {
+            // SAFETY: `[start, stop)` is inside the range-checked range.
+            unsafe { std::ptr::write_bytes(self.ptr().add(start), val, stop - start) };
+        });
     }
 
     /// Atomically store the 8-byte-aligned u64 at `off` (release ordering).
@@ -481,12 +508,12 @@ impl PmemDevice {
     pub fn atomic_store_u64(&self, off: u64, v: u64) {
         self.check_range(off, 8);
         assert_eq!(off % 8, 0, "atomic store requires 8-byte alignment");
-        self.dirty_line(off / CACHE_LINE as u64);
         self.stats.record_atomic();
         self.stats.record_write(8);
-        unsafe {
-            (*(self.ptr().add(off as usize) as *const AtomicU64)).store(v, Ordering::Release);
-        }
+        self.store(off, 8, |start, _| {
+            // SAFETY: range-checked, and 8-byte aligned like the buffer.
+            unsafe { (*(self.ptr().add(start) as *const AtomicU64)).store(v, Ordering::Release) };
+        });
     }
 
     /// Atomic compare-exchange on the 8-byte-aligned u64 at `off`. Returns
@@ -496,16 +523,14 @@ impl PmemDevice {
     pub fn atomic_cas_u64(&self, off: u64, current: u64, new: u64) -> Result<u64, u64> {
         self.check_range(off, 8);
         assert_eq!(off % 8, 0, "atomic CAS requires 8-byte alignment");
-        self.dirty_line(off / CACHE_LINE as u64);
         self.stats.record_atomic();
-        unsafe {
-            (*(self.ptr().add(off as usize) as *const AtomicU64)).compare_exchange(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-        }
+        let mut result = Err(current);
+        self.store(off, 8, |start, _| {
+            // SAFETY: range-checked, and 8-byte aligned like the buffer.
+            let word = unsafe { &*(self.ptr().add(start) as *const AtomicU64) };
+            result = word.compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
+        });
+        result
     }
 
     // ------------------------------------------------------------------
@@ -661,6 +686,12 @@ impl PmemDevice {
                 }
                 drained = true;
                 let mut map = self.shard_for(pf.page).lock();
+                if self.down.load(Ordering::Acquire) {
+                    // Crashed: the flushed lines stay dirty, and a later
+                    // crash image reverts them.
+                    continue;
+                }
+                let cached = map.len();
                 if let Some(shadow) = map.get_mut(&pf.page) {
                     let mut remaining = pf.mask & shadow.dirty_mask;
                     while remaining != 0 {
@@ -697,7 +728,7 @@ impl PmemDevice {
                         shadow.dirty_mask &= !run_mask;
                         remaining &= !run_mask;
                     }
-                    if shadow.dirty_mask == 0 && map.len() > SHADOW_CACHE_PER_SHARD {
+                    if shadow.dirty_mask == 0 && cached > SHADOW_CACHE_PER_SHARD {
                         // Fully persisted and the shard is over its cache
                         // budget. Below the budget the clean shadow is
                         // kept: its `persisted` copy equals the live
@@ -828,7 +859,17 @@ impl PmemDevice {
     /// Simulate a power failure *in place*: revert non-surviving dirty lines
     /// and clear all tracking. Used by armed crash points so the same device
     /// can be re-mounted by recovery code.
+    ///
+    /// Until [`PmemDevice::power_on`] the device stays down. Threads that
+    /// outlive the crash (other daemon workers, a foreground writer) may
+    /// keep storing, and their stores stay visible and tracked, but no fence
+    /// persists them: a crash image taken later is the image at this crash.
+    /// Without this, a surviving thread could commit a log tail over an
+    /// entry the crash had just reverted, a state no real crash produces.
     pub fn crash_in_place(&self, mode: CrashMode) {
+        // Down before any shard is reverted: a fence that takes a shard
+        // lock after this sees it.
+        self.down.store(true, Ordering::Release);
         for shard in &self.shards {
             let mut map = shard.lock();
             for (&page, shadow) in map.iter() {
@@ -852,6 +893,13 @@ impl PmemDevice {
             map.clear();
         }
         PENDING_FLUSHES.with(|p| p.borrow_mut().retain(|pf| pf.dev != self.id));
+    }
+
+    /// Power the device back on after [`PmemDevice::crash_in_place`], so
+    /// fences persist again. Mounting a file system does this: it is the
+    /// restart that recovery runs in.
+    pub fn power_on(&self) {
+        self.down.store(false, Ordering::Release);
     }
 
     /// Save the device's *persistent* image (what would survive a power
@@ -1054,6 +1102,26 @@ mod tests {
         assert_eq!(dev.read_vec(0, 4), b"keep".to_vec());
         assert_eq!(dev.read_vec(64, 4), vec![0u8; 4]);
         assert_eq!(dev.dirty_lines(), 0);
+    }
+
+    #[test]
+    fn crashed_device_persists_nothing_until_power_on() {
+        let dev = std::sync::Arc::new(PmemDevice::new(4096));
+        dev.write_persist(0, b"before");
+        dev.crash_in_place(CrashMode::Strict);
+        // A thread that outlives the crash keeps storing and fencing: its
+        // stores are visible but never durable.
+        let d2 = dev.clone();
+        std::thread::spawn(move || d2.write_persist(0, b"after!"))
+            .join()
+            .unwrap();
+        assert_eq!(dev.read_vec(0, 6), b"after!".to_vec());
+        assert_eq!(dev.crash_clone(CrashMode::Strict).read_vec(0, 6), b"before");
+        assert_eq!(dev.persistent_bytes()[..6], *b"before");
+        // Restarted, the device persists again.
+        dev.power_on();
+        dev.write_persist(0, b"again!");
+        assert_eq!(dev.crash_clone(CrashMode::Strict).read_vec(0, 6), b"again!");
     }
 
     #[test]

@@ -219,11 +219,29 @@ mod tests {
     #[test]
     fn think_time_slows_wall_clock_not_io() {
         let fs = mount(DedupMode::Baseline);
-        let spec = JobSpec::large_files(4, 0.0);
+        // 16 × 128 KiB writes take well over one 100 µs I/O period, so the
+        // think cycle sleeps at least once.
+        let spec = JobSpec::large_files(16, 0.0);
         let fast = run_write_job(&fs, &spec).unwrap();
         let fs2 = mount(DedupMode::Baseline);
+        let ThinkTime::Cycle { io, think } = ThinkTime::paper_cycle() else {
+            unreachable!("the paper cycle has think time")
+        };
         let slow = run_write_job(&fs2, &spec.clone().with_think(ThinkTime::paper_cycle())).unwrap();
-        assert!(slow.elapsed > fast.elapsed);
+        // One writer sleeps `think` after every `io` of I/O time, so its wall
+        // clock covers the I/O plus every sleep (a sleep never ends early).
+        let sleeps = (slow.io_time.as_nanos() / io.as_nanos()) as u32;
+        assert!(
+            sleeps >= 1,
+            "io time {:?} never reached {io:?}",
+            slow.io_time
+        );
+        assert!(
+            slow.elapsed >= slow.io_time + think * sleeps,
+            "elapsed {:?} < io {:?} + {sleeps} × {think:?}",
+            slow.elapsed,
+            slow.io_time
+        );
         // IO-only throughput should be in the same ballpark.
         assert!(slow.throughput_mbs() > fast.throughput_mbs() * 0.2);
     }

@@ -120,67 +120,85 @@ fn workers_crashed_in_different_stages_recover() {
         let node = fs.dwq().pop_batch(1)[0];
         denova::dedup_entry(fs.nova(), fs.fact(), &node).unwrap();
     }
-    // One transaction dies right after reserving the UC.
+    // One transaction dies right after reserving the UC. A crash point
+    // takes the device down; powering it back on after each staged death
+    // lets the next stage's flags and counters become durable as well.
     dev.crash_points().arm("denova::dedup::after_reserve", 0);
-    let node = fs.dwq().pop_batch(1)[0];
+    let reserved = fs.dwq().pop_batch(1)[0];
     let r = catch_unwind(AssertUnwindSafe(|| {
-        denova::dedup_entry(fs.nova(), fs.fact(), &node)
+        denova::dedup_entry(fs.nova(), fs.fact(), &reserved)
     }));
     assert!(r.is_err(), "after_reserve crash did not fire");
+    dev.power_on();
     // Another dies with its target entry flagged InProcess.
     dev.crash_points()
         .arm("denova::dedup::after_target_in_process", 0);
-    let node = fs.dwq().pop_batch(1)[0];
+    let in_process = fs.dwq().pop_batch(1)[0];
     let r = catch_unwind(AssertUnwindSafe(|| {
-        denova::dedup_entry(fs.nova(), fs.fact(), &node)
+        denova::dedup_entry(fs.nova(), fs.fact(), &in_process)
     }));
     assert!(r.is_err(), "after_target_in_process crash did not fire");
+    dev.power_on();
     // Four nodes remain queued, then the machine dies.
     assert_eq!(fs.dwq().len(), 4);
 
     let crashed = Arc::new(dev.crash_clone(CrashMode::Strict));
+    // The crash image holds both interrupted stages: two reservations of
+    // the shared block still pending as UC, one target entry still Needed
+    // and one InProcess.
+    let flag = |off| denova_repro::nova::entry::read_dedupe_flag(&crashed, off).unwrap();
+    assert_eq!(flag(reserved.entry_off), DedupeFlag::Needed);
+    assert_eq!(flag(in_process.entry_off), DedupeFlag::InProcess);
+    let image_fact = Fact::mount(
+        crashed.clone(),
+        *fs.nova().layout(),
+        Arc::new(DedupStats::new(&MetricsRegistry::new())),
+    );
+    let mut residue = 0;
+    image_fact.for_each_occupied(|idx, _| residue += image_fact.counters(idx).1);
+    assert_eq!(residue, 2, "UC residue in the crash image");
     drop(fs);
     verify_recovered(crashed, &files, "staged 4-shard crash");
 }
 
-/// Chaotic: a live 4-worker pool chews through a duplicate backlog with
-/// crash points armed mid-stream; workers die inside their transactions
-/// while the foreground keeps writing. The surviving state must recover.
+/// Chaotic: a live 4-worker pool chews through a duplicate backlog while
+/// the foreground keeps writing, and the machine dies when one worker
+/// reaches the armed point inside its transaction; the other workers die
+/// wherever their own transactions were. One run per armed stage: once a
+/// crash point fires the device persists nothing until the next mount, so
+/// a second point armed in the same run would add no durable state.
 #[test]
 fn live_pool_with_mid_transaction_deaths_recovers() {
     quiet_simulated_crashes();
-    let dev = Arc::new(PmemDevice::new(DEV_SIZE));
-    // Different transaction stages across the pool.
     for point in [
         "denova::dedup::after_reserve",
         "denova::dedup::after_tail_commit",
         "denova::dedup::mid_commit_counts",
         "denova::dedup::after_target_in_process",
     ] {
+        let dev = Arc::new(PmemDevice::new(DEV_SIZE));
         dev.crash_points().arm(point, 0);
-    }
-    let fs = Denova::mkfs(dev.clone(), opts(4), DedupMode::Immediate).unwrap();
-    assert_eq!(fs.dedup_workers(), 4);
-    let files: Vec<String> = (0..40).map(|i| format!("f{i}")).collect();
-    for (i, name) in files.iter().enumerate() {
-        let ino = fs.create(name).unwrap();
-        // Three duplicate groups, uniform pages.
-        fs.write(ino, 0, &vec![(i % 3) as u8 + 1; 4096]).unwrap();
-    }
-    // Let the workers run into the armed points mid-backlog.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while dev.crash_points().hits("denova::dedup::after_reserve") == 0
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(
-        dev.crash_points().hits("denova::dedup::after_reserve") > 0,
-        "no worker reached a dedup transaction"
-    );
-    std::thread::sleep(std::time::Duration::from_millis(50));
+        let fs = Denova::mkfs(dev.clone(), opts(4), DedupMode::Immediate).unwrap();
+        assert_eq!(fs.dedup_workers(), 4);
+        let files: Vec<String> = (0..40).map(|i| format!("f{i}")).collect();
+        for (i, name) in files.iter().enumerate() {
+            let ino = fs.create(name).unwrap();
+            // Three duplicate groups, uniform pages.
+            fs.write(ino, 0, &vec![(i % 3) as u8 + 1; 4096]).unwrap();
+        }
+        // Let the workers run into the armed point mid-backlog.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while dev.crash_points().hits(point) == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert!(
+            dev.crash_points().hits(point) > 0,
+            "no worker reached {point}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
 
-    let crashed = Arc::new(dev.crash_clone(CrashMode::Strict));
-    drop(fs); // joins the pool; dead workers' simulated crashes are swallowed
-    verify_recovered(crashed, &files, "live 4-worker crash");
+        let crashed = Arc::new(dev.crash_clone(CrashMode::Strict));
+        drop(fs); // joins the pool; dead workers' simulated crashes are swallowed
+        verify_recovered(crashed, &files, &format!("live 4-worker crash at {point}"));
+    }
 }
