@@ -10,7 +10,7 @@
 use crate::report;
 use denova::{DedupMode, Denova};
 use denova_nova::NovaOptions;
-use denova_pmem::{CrashMode, LatencyProfile, PmemBuilder};
+use denova_pmem::{calibrate_spin, CrashMode, LatencyProfile, PmemBuilder};
 use denova_workload::{run_write_job, JobSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,17 +52,20 @@ fn time_mount(dev: &Arc<denova_pmem::PmemDevice>, o: NovaOptions, mode: DedupMod
     took
 }
 
-/// Measure recovery time for several file counts. Half the files remain
-/// pending dedup at the crash (the Delayed daemon never fired), so the
-/// DeNova column includes real DWQ-rebuild and flag-scan work.
+/// Measure recovery time for several file counts. Every file's write entry
+/// is still pending dedup at the crash (the Delayed daemon never fires), so
+/// the DeNova column includes real DWQ-rebuild work.
 pub fn run(file_counts: &[usize]) -> Vec<RecoveryRow> {
+    // Calibrate the latency spin now, not inside the first timed mount.
+    calibrate_spin();
     file_counts
         .iter()
         .map(|&files| {
             let bytes = crate::device_bytes_for(files * 4096 * 2);
-            let dev = Arc::new(PmemBuilder::new(bytes).build()); // no latency: isolate scan work
-                                                                 // Build state with a Delayed daemon that dedups roughly half the
-                                                                 // queue before we stop it.
+            // Built without injected latency so the set-up is quick;
+            // `time_mount` recovers the crash image under the Optane
+            // profile. The Delayed daemon's interval never elapses.
+            let dev = Arc::new(PmemBuilder::new(bytes).build());
             let fs = Denova::mkfs(
                 dev.clone(),
                 opts(files),

@@ -53,9 +53,11 @@
 
 use crate::stats::DedupStats;
 use denova_fingerprint::Fingerprint;
-use denova_nova::{Layout, NovaError, Result};
+use denova_nova::layout::FACT_ENTRY_SIZE;
+use denova_nova::{Layout, NovaError, Result, BLOCK_SIZE};
 use denova_pmem::PmemDevice;
 use denova_sync::RcuCell;
+use denova_telemetry::Counter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
@@ -100,6 +102,20 @@ pub struct FactEntry {
     /// run anchor standing for blocks `block .. block + N` (a stored 0 —
     /// pre-extent images — decodes as 1).
     pub run_pages: u32,
+}
+
+/// Decode one 64 B slot (layout in the module docs).
+fn decode_entry(b: &[u8]) -> FactEntry {
+    FactEntry {
+        rfc: u32::from_le_bytes(b[0..4].try_into().unwrap()),
+        uc: u32::from_le_bytes(b[4..8].try_into().unwrap()),
+        fp: Fingerprint::from_bytes(b[8..28].try_into().unwrap()),
+        block: u64::from_le_bytes(b[28..36].try_into().unwrap()),
+        prev: i64::from_le_bytes(b[36..44].try_into().unwrap()),
+        next: i64::from_le_bytes(b[44..52].try_into().unwrap()),
+        delete_ptr: i64::from_le_bytes(b[52..60].try_into().unwrap()),
+        run_pages: u32::from_le_bytes(b[60..64].try_into().unwrap()).max(1),
+    }
 }
 
 impl FactEntry {
@@ -150,7 +166,16 @@ pub struct Fact {
     /// [`Fact::demote_run`]): two overlapping transitions on the same range
     /// would double-cover blocks. Always taken *before* any stripe lock.
     run_lock: Mutex<()>,
+    /// Run anchors `(idx, block, pages)` the mount scan found, for the
+    /// first [`Fact::repair_runs`] to use instead of scanning again. `None`
+    /// once taken, and on a table attached with [`Fact::new`].
+    mount_runs: Mutex<Option<Vec<RunAnchor>>>,
+    /// Full-table scans made (`fact.scans`).
+    scans: Counter,
 }
+
+/// A run anchor as a scan saw it: `(slot, first block, pages)`.
+type RunAnchor = (u64, u64, u32);
 
 /// One cached chain position: where `fp` lives in FACT and how many PM
 /// reads a chain walk would have spent reaching it (for the reorder
@@ -304,6 +329,8 @@ impl Fact {
             rcu: AtomicBool::new(true),
             extent_threshold_pages: AtomicU32::new(DEFAULT_EXTENT_THRESHOLD_PAGES),
             run_lock: Mutex::new(()),
+            mount_runs: Mutex::new(None),
+            scans: dev.metrics().counter("fact.scans"),
             dev,
             layout,
             stats,
@@ -312,42 +339,67 @@ impl Fact {
 
     /// Attach to an existing FACT region, rebuilding the DRAM cache state —
     /// the IAA free-slot stack and the presence filter — in a single table
-    /// scan (mount-time cost, like NOVA's log scan).
+    /// scan (mount-time cost, like NOVA's log scan). The scan also notes the
+    /// run anchors for a recovery's [`Fact::repair_runs`].
     pub fn mount(dev: Arc<PmemDevice>, layout: Layout, stats: Arc<DedupStats>) -> Fact {
         let fact = Fact::new(dev, layout, stats);
         let mut free = IaaFree {
             stack: Vec::new(),
             cursor: fact.entries(),
         };
-        let mut live_prefixes = Vec::new();
-        for idx in 0..fact.entries() {
-            let e = fact.read_entry(idx);
+        // The (fp, next) link of each occupied slot — DAA slots in
+        // ascending order, IAA slots by index — to walk the chains below
+        // without reading them again.
+        let mut heads: Vec<(u64, (Fingerprint, i64))> = Vec::new();
+        let mut iaa_links: HashMap<u64, (Fingerprint, i64)> = HashMap::new();
+        let mut runs = Vec::new();
+        fact.scan(|idx, e| {
             if e.is_occupied() {
                 fact.filter.add(e.fp.prefix(fact.prefix_bits()), &e.fp);
                 if idx < fact.layout.daa_entries() {
-                    live_prefixes.push(idx);
+                    heads.push((idx, (e.fp, e.next)));
+                } else {
+                    iaa_links.insert(idx, (e.fp, e.next));
+                }
+                if e.run_pages > 1 {
+                    runs.push((idx, e.block, e.run_pages));
                 }
             } else if idx >= fact.layout.daa_entries() {
                 free.stack.push(idx);
             }
-        }
+        });
+        *fact.mount_runs.lock() = Some(runs);
         // Serve recycled slots in ascending order for determinism.
         free.stack.reverse();
         *fact.iaa_free.lock() = free;
-        // Rebuild the RCU stripe tables by walking each live chain (mount
-        // is single-threaded, so each table is built whole and published
-        // once).
+        // Rebuild the RCU stripe tables by walking each live chain in
+        // lookup order, as [`Fact::chain`] would (mount is single-threaded,
+        // so each table is built whole and published once). The step bound
+        // keeps a corrupt cycle from hanging the mount.
         let mut tables: Vec<StripeTable> = (0..STRIPES).map(|_| StripeTable::new()).collect();
-        for prefix in live_prefixes {
+        let link = |idx: u64| match heads.binary_search_by_key(&idx, |h| h.0) {
+            Ok(i) => Some(heads[i].1),
+            Err(_) => iaa_links.get(&idx).copied(),
+        };
+        let occupied = heads.len() + iaa_links.len();
+        for &(prefix, _) in &heads {
             let bank = &mut tables[(prefix as usize) % STRIPES];
-            for (pos, (idx, e)) in fact.chain(prefix).into_iter().enumerate() {
+            let mut idx = prefix;
+            for pos in 0..occupied as u32 {
+                let Some((fp, next)) = link(idx) else {
+                    break;
+                };
                 bank.insert(
-                    e.fp,
+                    fp,
                     StripeCacheEnt {
                         idx,
-                        walk_reads: pos as u32 + 1,
+                        walk_reads: pos + 1,
                     },
                 );
+                if next < 0 {
+                    break;
+                }
+                idx = next as u64;
             }
         }
         for (sid, table) in tables.into_iter().enumerate() {
@@ -449,16 +501,29 @@ impl Fact {
     pub fn read_entry(&self, idx: u64) -> FactEntry {
         let mut b = [0u8; 64];
         self.dev.read_into(self.off(idx), &mut b);
-        FactEntry {
-            rfc: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            uc: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            fp: Fingerprint::from_bytes(b[8..28].try_into().unwrap()),
-            block: u64::from_le_bytes(b[28..36].try_into().unwrap()),
-            prev: i64::from_le_bytes(b[36..44].try_into().unwrap()),
-            next: i64::from_le_bytes(b[44..52].try_into().unwrap()),
-            delete_ptr: i64::from_le_bytes(b[52..60].try_into().unwrap()),
-            run_pages: u32::from_le_bytes(b[60..64].try_into().unwrap()).max(1),
+        decode_entry(&b)
+    }
+
+    /// Visit every slot with its decoded entry, reading the table a page
+    /// (64 entries) per device read: the one full-table scan that mount and
+    /// every [`Fact::for_each_occupied`] pass use. Each page is read before
+    /// its slots are visited, so a visitor that changes the table must
+    /// re-read a slot an earlier visit may have changed before acting on it.
+    fn scan(&self, mut f: impl FnMut(u64, FactEntry)) {
+        const PER_PAGE: u64 = BLOCK_SIZE / FACT_ENTRY_SIZE;
+        let mut page = [0u8; BLOCK_SIZE as usize];
+        let n = self.entries();
+        let mut first = 0;
+        while first < n {
+            let count = PER_PAGE.min(n - first);
+            let buf = &mut page[..(count * FACT_ENTRY_SIZE) as usize];
+            self.dev.read_into(self.off(first), buf);
+            for (k, raw) in buf.chunks_exact(FACT_ENTRY_SIZE as usize).enumerate() {
+                f(first + k as u64, decode_entry(raw));
+            }
+            first += count;
         }
+        self.scans.inc();
     }
 
     /// Write the dedup-metadata fields (counters, FP, block, prev, next,
@@ -1262,13 +1327,28 @@ impl Fact {
     /// anchor and absorb leftover per-page records inside the claimed range
     /// (their counts are already represented by the anchor). Idempotent;
     /// returns the number of repairs applied.
+    ///
+    /// The first call after [`Fact::mount`] takes the anchors that mount's
+    /// scan found, re-reading each before repairing it; later calls scan.
+    /// The orphan sweep is a full scan too, made only when a run exists.
     pub fn repair_runs(&self) -> u64 {
-        let mut runs: Vec<(u64, u64, u32)> = Vec::new();
-        self.for_each_occupied(|idx, e| {
-            if e.run_pages > 1 {
-                runs.push((idx, e.block, e.run_pages));
-            }
+        let taken = self.mount_runs.lock().take();
+        let mut runs: Vec<RunAnchor> = taken.unwrap_or_else(|| {
+            let mut runs = Vec::new();
+            self.for_each_occupied(|idx, e| {
+                if e.run_pages > 1 {
+                    runs.push((idx, e.block, e.run_pages));
+                }
+            });
+            runs
         });
+        runs.retain(|&(anchor, b0, n)| {
+            let a = self.read_entry(anchor);
+            a.is_occupied() && a.block == b0 && a.run_pages == n
+        });
+        if runs.is_empty() {
+            return 0;
+        }
         let mut repairs = 0u64;
         for &(anchor, b0, n) in &runs {
             for k in 1..n as u64 {
@@ -1436,18 +1516,18 @@ impl Fact {
         out
     }
 
-    /// Visit every occupied entry (full-table scan: recovery and the
-    /// scrubber use this; normal operation never does).
+    /// Visit every occupied entry (full-table scan, a page per device read:
+    /// recovery and the scrubber use this; normal operation never does).
     pub fn for_each_occupied<F: FnMut(u64, FactEntry)>(&self, mut f: F) {
-        for idx in 0..self.entries() {
-            let e = self.read_entry(idx);
+        self.scan(|idx, e| {
             if e.is_occupied() {
                 f(idx, e);
             }
-        }
+        });
     }
 
-    /// Number of occupied entries (scan; tests only).
+    /// Number of occupied entries (a full-table scan: audits, `df`, the
+    /// service's stats and benchmarks use it).
     pub fn occupied_count(&self) -> u64 {
         let mut n = 0;
         self.for_each_occupied(|_, _| n += 1);
@@ -1797,6 +1877,22 @@ mod tests {
         assert_eq!(inserted, total_iaa + 1);
         // The chain is still structurally sound and fully reachable.
         assert_eq!(fact.chain(1).len() as u64, inserted);
+    }
+
+    #[test]
+    fn full_pass_reads_a_page_per_64_entries() {
+        let (dev, fact) = setup();
+        for i in 0..10u64 {
+            let fp = Fingerprint::of(&i.to_le_bytes());
+            fact.reserve_or_insert(&fp, 100 + i).unwrap();
+        }
+        let before = dev.stats().snapshot().reads;
+        assert_eq!(fact.occupied_count(), 10);
+        assert_eq!(
+            dev.stats().snapshot().reads - before,
+            fact.entries().div_ceil(64)
+        );
+        assert_eq!(dev.metrics().snapshot().counter("fact.scans"), Some(1));
     }
 
     #[test]

@@ -159,8 +159,13 @@ impl Denova {
         let slo_target = opts.slo_write_p99_ns;
         let extent_threshold = opts.extent_threshold_pages;
         let nova = Arc::new(Nova::mount(dev.clone(), opts)?);
+        let pending = nova.take_pending_dedup();
         let stats = Arc::new(DedupStats::new(dev.metrics()));
-        let fact = Arc::new(Fact::mount(dev.clone(), *nova.layout(), stats.clone()));
+        // Device reads from here on are the dedup layer's share of the mount.
+        let reads0 = dev.stats().snapshot().reads;
+        let fact = Arc::new(recovery::phase(dev.metrics(), "fact.mount", || {
+            Fact::mount(dev.clone(), *nova.layout(), stats.clone())
+        }));
         fact.set_extent_threshold_pages(extent_threshold);
         let dwq = Arc::new(Dwq::with_shards(
             stats.clone(),
@@ -171,9 +176,12 @@ impl Denova {
             if was_clean {
                 dwq.restore(&dev, nova.layout());
             } else {
-                recovery::recover(&nova, &fact, &dwq)?;
+                recovery::recover(&nova, &fact, &dwq, &pending)?;
             }
         }
+        dev.metrics()
+            .counter("denova.mount.pm_reads")
+            .add(dev.stats().snapshot().reads - reads0);
         Ok(Self::assemble_with_dwq(
             nova, fact, dwq, stats, mode, workers, slo_target,
         ))
@@ -427,6 +435,44 @@ mod tests {
 
     fn dev() -> Arc<PmemDevice> {
         Arc::new(PmemDevice::new(32 * 1024 * 1024))
+    }
+
+    #[test]
+    fn crash_recovery_mount_scans_fact_at_most_three_times() {
+        // Without runs: the mount scan and the census/scrub pass. With a
+        // run: the orphan-run sweep as well.
+        let data: Vec<u8> = (0..8 * 4096).map(|i| (i / 4096 + 1) as u8).collect();
+        for (threshold, scans) in [(0u32, 2u64), (4, 3)] {
+            let o = NovaOptions {
+                extent_threshold_pages: threshold,
+                ..opts()
+            };
+            let fs = Denova::mkfs(dev(), o.clone(), DedupMode::Immediate).unwrap();
+            for name in ["a", "b"] {
+                let ino = fs.create(name).unwrap();
+                fs.write(ino, 0, &data).unwrap();
+            }
+            fs.drain();
+            let image = Arc::new(fs.quiesce(|| {
+                fs.nova()
+                    .device()
+                    .crash_clone(denova_pmem::CrashMode::Strict)
+            }));
+            let rfs = Denova::mount(image.clone(), o, DedupMode::Immediate).unwrap();
+            let fp = denova_fingerprint::Fingerprint::of(&data[..4096]);
+            let run = rfs.fact().lookup(&fp).unwrap().1.run_pages;
+            assert_eq!(run > 1, threshold > 0);
+            let snap = image.metrics().snapshot();
+            assert_eq!(
+                snap.counter("fact.scans"),
+                Some(scans),
+                "threshold {threshold}"
+            );
+            for phase in ["nova.recover", "fact.mount", "denova.recover.census"] {
+                assert_eq!(snap.histogram(phase).map(|h| h.count), Some(1), "{phase}");
+            }
+            assert!(snap.counter("denova.mount.pm_reads").unwrap() > 0);
+        }
     }
 
     #[test]

@@ -2,30 +2,40 @@
 //! Section V-C plus the FACT scrubber.
 //!
 //! After NOVA's own log-scan recovery has rebuilt the namespace, radix
-//! trees, and free lists, the dedup layer:
+//! trees, and free lists — and, in the same walk of every log, listed the
+//! write entries still flagged for dedup — the dedup layer:
 //!
-//! 1. **rebuilds the DWQ** by a fast scan of all write entries, re-queueing
-//!    everything flagged `dedupe_needed` (Handling I / III — a target entry
-//!    whose transaction committed but whose flag never advanced is simply
-//!    re-processed, which is safe because its already-deduplicated pages are
-//!    no longer backed by it);
+//! 1. **completes interrupted extent-run merges and demotes** forward;
 //! 2. **resumes from step ⑥** every entry flagged `in_process`
 //!    (Handling II): the tail commit made those transactions durable, so
 //!    only the UC→RFC transfer, flags, and reclaim remain;
-//! 3. **discards stale UCs** — any update count left non-zero belongs to a
+//! 3. **rebuilds the DWQ** from the entries flagged `dedupe_needed`
+//!    (Handling I / III — a target entry whose transaction committed but
+//!    whose flag never advanced is simply re-processed, which is safe
+//!    because its already-deduplicated pages are no longer backed by it);
+//! 4. **discards stale UCs** — any update count left non-zero belongs to a
 //!    transaction that failed before its tail commit ("the UC is not
 //!    applied to the RFC for these entries, but discarded");
-//! 4. **repairs interrupted chain reorders** via the commit flag (Fig. 7);
-//! 5. **scrubs FACT against the live files**: entries whose canonical block
+//! 5. **repairs interrupted chain reorders** via the commit flag (Fig. 7);
+//! 6. **scrubs FACT against the live files**: entries whose canonical block
 //!    no file references are dropped, and over-incremented RFCs (the
 //!    crash-during-reclaim case) are reset to the exact reference count, so
 //!    no page stays unreclaimable.
+//!
+//! Steps 4–6 share one FACT pass: it notes the stale UCs and the chained
+//! prefixes while it audits each entry, and the fixes run after it in the
+//! order above. A crash-recovery mount thus scans FACT at most three times:
+//! at [`Fact::mount`], for orphaned run records (only when a run exists),
+//! and in that shared pass.
 
 use crate::dedup::resume_in_process;
 use crate::dwq::Dwq;
 use crate::fact::Fact;
 use crate::reorder::recover_reorder;
-use denova_nova::{DedupeFlag, LogEntry, LogIter, Nova, Result, ROOT_INO};
+use denova_nova::{DedupeFlag, Nova, PendingDedup, Result};
+use denova_telemetry::MetricsRegistry;
+use std::collections::HashMap;
+use std::time::Instant;
 
 /// What recovery did, for logging and tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -45,68 +55,65 @@ pub struct RecoveryReport {
     pub scrubbed: u64,
 }
 
-/// Run dedup recovery on a freshly-mounted (crashed) file system.
-pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq) -> Result<RecoveryReport> {
+/// Time `f` into the histogram `label` (ns). Recording is direct, not a
+/// span: a mount runs before anyone can switch spans on.
+pub(crate) fn phase<R>(metrics: &MetricsRegistry, label: &str, f: impl FnOnce() -> R) -> R {
+    let t0 = Instant::now();
+    let r = f();
+    metrics
+        .histogram(label)
+        .record(t0.elapsed().as_nanos() as u64);
+    r
+}
+
+/// Run dedup recovery on a freshly-mounted (crashed) file system. `pending`
+/// is what NOVA's mount-time log scan found still flagged for dedup
+/// ([`Nova::take_pending_dedup`]).
+pub fn recover(
+    nova: &Nova,
+    fact: &Fact,
+    dwq: &Dwq,
+    pending: &[PendingDedup],
+) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
-    let dev = nova.device().clone();
-    let layout = *nova.layout();
+    let metrics = nova.device().metrics();
 
-    // Phase A0: complete interrupted extent-run merges/demotes forward,
-    // toward whatever each anchor's committed `run_pages` says. Runs first
-    // so everything below (resume, scrub) sees a consistent reverse index.
-    report.runs_repaired = fact.repair_runs();
+    // Complete interrupted extent-run merges/demotes forward, toward
+    // whatever each anchor's committed `run_pages` says. Runs first so
+    // everything below (resume, scrub) sees a consistent reverse index.
+    report.runs_repaired = phase(metrics, "denova.recover.runs", || fact.repair_runs());
 
-    // Phase A: fast scan of every live inode's write entries.
-    let mut in_process: Vec<(u64, u64)> = Vec::new();
-    let mut needed: Vec<(u64, u64)> = Vec::new();
-    let mut inos = nova.live_inodes();
-    inos.push(ROOT_INO);
-    for ino in inos {
-        let pos = nova.with_inode_read(ino, |mem| Ok(mem.pos))?;
-        for item in LogIter::new(&dev, &layout, pos.head, pos.tail) {
-            let (off, entry) = item?;
-            if let LogEntry::Write(we) = entry {
-                match we.dedupe_flag {
-                    DedupeFlag::Needed => needed.push((ino, off)),
-                    DedupeFlag::InProcess => in_process.push((ino, off)),
-                    _ => {}
-                }
+    phase(metrics, "denova.recover.pending", || -> Result<()> {
+        // Handling II: resume interrupted transactions from step ⑥.
+        for p in pending.iter().filter(|p| p.flag == DedupeFlag::InProcess) {
+            resume_in_process(nova, fact, p.ino, p.entry_off)?;
+            report.resumed += 1;
+        }
+        // Handling I/III: re-queue pending candidates in log order.
+        for p in pending.iter().filter(|p| p.flag == DedupeFlag::Needed) {
+            dwq.push(p.ino, p.entry_off);
+            report.requeued += 1;
+        }
+        Ok(())
+    })?;
+
+    // One FACT pass: stale UCs and chained prefixes, and the scrub audit.
+    let plan = phase(metrics, "denova.recover.census", || {
+        ScrubPlan::survey(nova, fact, true)
+    });
+    for &idx in &plan.stale_ucs {
+        fact.reset_uc(idx);
+    }
+    report.stale_ucs_discarded = plan.stale_ucs.len() as u64;
+    phase(metrics, "denova.recover.reorder", || -> Result<()> {
+        for &prefix in &plan.chained {
+            if recover_reorder(fact, prefix)? {
+                report.reorders_repaired += 1;
             }
         }
-    }
-
-    // Phase B (Handling II): resume interrupted transactions from step ⑥.
-    for &(ino, off) in &in_process {
-        resume_in_process(nova, fact, ino, off)?;
-        report.resumed += 1;
-    }
-
-    // Phase C (Handling I/III): re-queue pending candidates in log order.
-    for &(ino, off) in &needed {
-        dwq.push(ino, off);
-        report.requeued += 1;
-    }
-
-    // Phase D: discard stale UCs and collect chains to check for
-    // interrupted reorders (one full-table scan covers both).
-    let mut chained_prefixes = Vec::new();
-    fact.for_each_occupied(|idx, e| {
-        if e.uc > 0 {
-            fact.reset_uc(idx);
-            report.stale_ucs_discarded += 1;
-        }
-        if idx < fact.daa_entries() && e.next >= 0 {
-            chained_prefixes.push(idx);
-        }
-    });
-    for prefix in chained_prefixes {
-        if recover_reorder(fact, prefix)? {
-            report.reorders_repaired += 1;
-        }
-    }
-
-    // Phase E: scrub FACT against the recovered file system.
-    report.scrubbed = scrub(nova, fact)?;
+        Ok(())
+    })?;
+    report.scrubbed = phase(metrics, "denova.recover.scrub", || plan.apply(fact))?;
     Ok(report)
 }
 
@@ -119,67 +126,125 @@ pub fn recover(nova: &Nova, fact: &Fact, dwq: &Dwq) -> Result<RecoveryReport> {
 /// Must run quiescent (at mount, or with the daemon drained): it compares
 /// two scans that are not mutually atomic.
 pub fn scrub(nova: &Nova, fact: &Fact) -> Result<u64> {
-    let counts = nova.block_reference_counts();
-    let mut fixed = 0;
-    let mut doomed: Vec<u64> = Vec::new();
-    let mut adjust: Vec<(u64, u32)> = Vec::new();
-    let mut bad_runs: Vec<(u64, u64, u64)> = Vec::new(); // (idx, block, pages)
-    fact.for_each_occupied(|idx, e| {
-        if e.uc > 0 {
-            // In-flight transaction (only possible in a non-quiescent call);
-            // leave it alone.
-            return;
-        }
-        if e.run_pages > 1 {
-            // A run's single RFC claims every covered block has exactly
-            // that many owners; verify per block.
-            let n = e.run_pages as u64;
-            let uniform = (0..n).all(|k| counts.get(&(e.block + k)).copied().unwrap_or(0) == e.rfc);
-            if !uniform {
-                bad_runs.push((idx, e.block, n));
+    ScrubPlan::survey(nova, fact, false).apply(fact)
+}
+
+/// What one FACT pass found to fix.
+struct ScrubPlan {
+    /// Write-entry references per block, the scrubber's ground truth.
+    counts: HashMap<u64, u32>,
+    /// Slots whose UC a crash left behind (recovery only).
+    stale_ucs: Vec<u64>,
+    /// DAA slots heading an IAA chain (recovery only).
+    chained: Vec<u64>,
+    /// Per-page records `(slot, block)` no file references.
+    doomed: Vec<(u64, u64)>,
+    /// Per-page records `(slot, block, references)` with a wrong RFC.
+    adjust: Vec<(u64, u64, u32)>,
+    /// Run anchors `(slot, block, pages)` whose blocks' owners diverged.
+    bad_runs: Vec<(u64, u64, u64)>,
+}
+
+impl ScrubPlan {
+    /// Audit every entry in one pass. `recovering` treats a UC as stale
+    /// (noted for discarding, the entry audited as if it were zero) and
+    /// notes chained prefixes; otherwise a UC marks an in-flight
+    /// transaction whose entry is left alone.
+    fn survey(nova: &Nova, fact: &Fact, recovering: bool) -> ScrubPlan {
+        let mut plan = ScrubPlan {
+            counts: nova.block_reference_counts(),
+            stale_ucs: Vec::new(),
+            chained: Vec::new(),
+            doomed: Vec::new(),
+            adjust: Vec::new(),
+            bad_runs: Vec::new(),
+        };
+        fact.for_each_occupied(|idx, e| {
+            if recovering {
+                if e.uc > 0 {
+                    plan.stale_ucs.push(idx);
+                }
+                if idx < fact.daa_entries() && e.next >= 0 {
+                    plan.chained.push(idx);
+                }
+            } else if e.uc > 0 {
+                return;
             }
-            return;
-        }
-        let actual = counts.get(&e.block).copied().unwrap_or(0);
-        if actual == 0 {
-            doomed.push(idx);
-        } else if e.rfc != actual {
-            adjust.push((idx, actual));
-        }
-    });
-    // Run anchors whose per-block ownership diverged (a crash between a run
-    // share and its count commit, or a partial release): split the run and
-    // reconcile each block independently.
-    for (idx, block, n) in bad_runs {
-        if fact.demote_run(idx).is_err() {
-            // FACT full — leave the run for a later sweep rather than lose
-            // shared state.
-            continue;
-        }
-        for k in 0..n {
-            let Some((pidx, _)) = fact.resolve_block(block + k) else {
-                continue;
-            };
-            let actual = counts.get(&(block + k)).copied().unwrap_or(0);
-            let (rfc, _) = fact.counters(pidx);
+            let refs = |block: u64| plan.counts.get(&block).copied().unwrap_or(0);
+            if e.run_pages > 1 {
+                // A run's single RFC claims every covered block has exactly
+                // that many owners; verify per block.
+                let n = e.run_pages as u64;
+                if !(0..n).all(|k| refs(e.block + k) == e.rfc) {
+                    plan.bad_runs.push((idx, e.block, n));
+                }
+                return;
+            }
+            let actual = refs(e.block);
             if actual == 0 {
-                fact.remove(pidx)?;
-                fixed += 1;
-            } else if rfc != actual {
-                fact.set_rfc(pidx, actual);
-                fixed += 1;
+                plan.doomed.push((idx, e.block));
+            } else if e.rfc != actual {
+                plan.adjust.push((idx, e.block, actual));
+            }
+        });
+        plan
+    }
+
+    /// Apply the fixes; returns how many entries were dropped or corrected.
+    fn apply(&self, fact: &Fact) -> Result<u64> {
+        let mut fixed = 0;
+        // Run anchors whose per-block ownership diverged (a crash between a
+        // run share and its count commit, or a partial release): split the
+        // run and reconcile each block independently.
+        for &(idx, block, n) in &self.bad_runs {
+            if fact.demote_run(idx).is_err() {
+                // FACT full — leave the run for a later sweep rather than
+                // lose shared state.
+                continue;
+            }
+            for k in 0..n {
+                let Some((pidx, _)) = fact.resolve_block(block + k) else {
+                    continue;
+                };
+                let actual = self.counts.get(&(block + k)).copied().unwrap_or(0);
+                let (rfc, _) = fact.counters(pidx);
+                if actual == 0 {
+                    fact.remove(pidx)?;
+                    fixed += 1;
+                } else if rfc != actual {
+                    fact.set_rfc(pidx, actual);
+                    fixed += 1;
+                }
             }
         }
+        for &(idx, block) in &self.doomed {
+            if let Some(idx) = relocate(fact, idx, block) {
+                fact.remove(idx)?;
+            }
+            fixed += 1;
+        }
+        for &(idx, block, rfc) in &self.adjust {
+            if let Some(idx) = relocate(fact, idx, block) {
+                fact.set_rfc(idx, rfc);
+            }
+            fixed += 1;
+        }
+        Ok(fixed)
     }
-    for idx in doomed {
-        fact.remove(idx)?;
-        fixed += 1;
+}
+
+/// The slot now holding the per-page record of `block` that the pass saw
+/// at `idx`. A removal since may have moved it: removing a DAA entry
+/// promotes its chain's head into the DAA slot and re-aims the head's
+/// reverse index, so a moved record is found by its block.
+fn relocate(fact: &Fact, idx: u64, block: u64) -> Option<u64> {
+    let e = fact.read_entry(idx);
+    if e.is_occupied() && e.block == block && e.run_pages == 1 {
+        return Some(idx);
     }
-    for (idx, rfc) in adjust {
-        fact.set_rfc(idx, rfc);
-        fixed += 1;
-    }
-    Ok(fixed)
+    fact.resolve_block(block)
+        .filter(|(_, e)| e.block == block && e.run_pages == 1)
+        .map(|(at, _)| at)
 }
 
 #[cfg(test)]
@@ -189,7 +254,7 @@ mod tests {
     use crate::reclaim::DenovaHooks;
     use crate::stats::DedupStats;
     use denova_fingerprint::Fingerprint;
-    use denova_nova::NovaOptions;
+    use denova_nova::{LogEntry, LogIter, NovaOptions};
     use denova_pmem::PmemDevice;
     use std::sync::Arc;
 
@@ -225,7 +290,7 @@ mod tests {
         let fact = Arc::new(Fact::mount(dev, *nova.layout(), stats.clone()));
         let dwq = Arc::new(Dwq::new(stats));
         nova.set_hooks(Arc::new(DenovaHooks::new(fact.clone(), dwq.clone(), true)));
-        let report = recover(&nova, &fact, &dwq).unwrap();
+        let report = recover(&nova, &fact, &dwq, &nova.take_pending_dedup()).unwrap();
         (Stack { nova, fact, dwq }, report)
     }
 
@@ -543,6 +608,37 @@ mod tests {
     }
 
     #[test]
+    fn scrub_fixes_a_record_an_earlier_removal_promoted() {
+        let s = mkfs();
+        let a = s.nova.create("a").unwrap();
+        // Left queued, so a's block has no FACT record of its own.
+        s.nova.write(a, 0, &vec![0x42u8; 4096]).unwrap();
+        let block = *s.nova.block_reference_counts().keys().next().unwrap();
+        let bits = s.fact.prefix_bits();
+        let mk = |salt: u8| {
+            let mut bytes = [0u8; 20];
+            bytes[..8].copy_from_slice(&(77u64 << (64 - bits)).to_be_bytes());
+            bytes[18] = 1;
+            bytes[19] = salt;
+            Fingerprint::from_bytes(bytes)
+        };
+        // A DAA record no file references, and chained behind it an
+        // over-counted record of a's block.
+        let (daa, _) = s.fact.reserve_or_insert(&mk(1), 900).unwrap();
+        s.fact.commit_uc_to_rfc(daa);
+        let (head, _) = s.fact.reserve_or_insert(&mk(2), block).unwrap();
+        s.fact.commit_uc_to_rfc(head);
+        s.fact.set_rfc(head, 5);
+        assert!(head >= s.fact.daa_entries());
+        // Dropping the DAA record promotes the head into its slot; the RFC
+        // fix must follow it there.
+        assert_eq!(scrub(&s.nova, &s.fact).unwrap(), 2);
+        assert_eq!(s.fact.read_entry(daa).block, block);
+        assert_eq!(s.fact.counters(daa), (1, 0));
+        assert_eq!(scrub(&s.nova, &s.fact).unwrap(), 0);
+    }
+
+    #[test]
     fn scrub_on_healthy_fs_is_noop() {
         let s = mkfs();
         let a = s.nova.create("a").unwrap();
@@ -588,5 +684,95 @@ mod tests {
         // repair happened via the report and chain soundness before scrub is
         // covered by reorder.rs tests.
         let _ = s2;
+    }
+
+    /// The old second walk of every log: inodes ascending, then the root,
+    /// each log's `Needed`/`InProcess` write entries in log order.
+    fn walk_pending(nova: &Nova) -> Vec<PendingDedup> {
+        let mut out = Vec::new();
+        let mut inos = nova.live_inodes();
+        inos.push(denova_nova::ROOT_INO);
+        for ino in inos {
+            let pos = nova.with_inode_read(ino, |mem| Ok(mem.pos)).unwrap();
+            for item in LogIter::new(nova.device(), nova.layout(), pos.head, pos.tail) {
+                let (entry_off, entry) = item.unwrap();
+                if let LogEntry::Write(we) = entry {
+                    if matches!(we.dedupe_flag, DedupeFlag::Needed | DedupeFlag::InProcess) {
+                        out.push(PendingDedup {
+                            ino,
+                            entry_off,
+                            flag: we.dedupe_flag,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pending_list_matches_a_log_walk_and_drives_recovery() {
+        let s = mkfs();
+        let page = |k: u64| vec![(k % 5 + 1) as u8; 4096];
+        // "a" takes 70 one-page writes, so its log spans two pages; "b" and
+        // "c" a few each.
+        for (name, writes) in [("a", 70u64), ("b", 3), ("c", 5)] {
+            let ino = s.nova.create(name).unwrap();
+            for k in 0..writes {
+                s.nova.write(ino, k * 4096, &page(k)).unwrap();
+            }
+        }
+        // Complete the first 20 candidates, crash inside the 21st after its
+        // target is flagged InProcess; the rest stay Needed.
+        let nodes = s.dwq.pop_batch(21);
+        for node in &nodes[..20] {
+            dedup_entry(&s.nova, &s.fact, node).unwrap();
+        }
+        s.nova
+            .device()
+            .crash_points()
+            .arm("denova::dedup::after_target_in_process", 0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dedup_entry(&s.nova, &s.fact, &nodes[20]).unwrap();
+        }));
+        assert!(r.is_err());
+
+        let dev = Arc::new(s.nova.device().crash_clone(denova_pmem::CrashMode::Strict));
+        let nova = Arc::new(Nova::mount(dev.clone(), opts()).unwrap());
+        let pending = nova.take_pending_dedup();
+        assert_eq!(pending, walk_pending(&nova));
+        assert!(nova.take_pending_dedup().is_empty(), "taken once");
+        let a = nova.open("a").unwrap();
+        let a_head = nova.with_inode_read(a, |mem| Ok(mem.pos)).unwrap();
+        assert!(
+            pending
+                .iter()
+                .any(|p| p.ino == a && p.entry_off / 4096 != a_head.head),
+            "no pending entry past the first log page"
+        );
+        let flagged = |f: DedupeFlag| pending.iter().filter(|p| p.flag == f).count() as u64;
+
+        let stats = Arc::new(DedupStats::default());
+        let fact = Arc::new(Fact::mount(dev, *nova.layout(), stats.clone()));
+        let dwq = Arc::new(Dwq::new(stats));
+        nova.set_hooks(Arc::new(DenovaHooks::new(fact.clone(), dwq.clone(), true)));
+        let report = recover(&nova, &fact, &dwq, &pending).unwrap();
+        assert_eq!(
+            (report.requeued, report.resumed),
+            (flagged(DedupeFlag::Needed), flagged(DedupeFlag::InProcess))
+        );
+        // What recovery reported when it walked the logs a second time.
+        assert_eq!(
+            report,
+            RecoveryReport {
+                requeued: 57,
+                resumed: 2,
+                ..RecoveryReport::default()
+            }
+        );
+        assert_eq!(dwq.len() as u64, report.requeued);
+        let s2 = Stack { nova, fact, dwq };
+        drain(&s2);
+        assert_eq!(scrub(&s2.nova, &s2.fact).unwrap(), 0);
     }
 }

@@ -10,6 +10,7 @@ use crate::index::RadixTree;
 use crate::inode::InodeTable;
 use crate::layout::{Layout, BLOCK_SIZE, ROOT_INO};
 use crate::log::{self, LogPosition};
+use crate::recovery::PendingDedup;
 use crate::stats::NovaStats;
 use crate::superblock;
 use crate::tap::{FsOp, OpTap};
@@ -322,6 +323,9 @@ pub struct Nova {
     /// layer resolves each against its peer before serving. Empty after
     /// `mkfs` and after a mount that found none.
     orphan_prepares: Vec<String>,
+    /// Write entries mount-time recovery found still flagged for dedup,
+    /// until the dedup layer takes them ([`Nova::take_pending_dedup`]).
+    pending_dedup: Mutex<Vec<PendingDedup>>,
 }
 
 /// Name prefix reserved for cluster two-phase-commit records. The cluster
@@ -364,6 +368,7 @@ impl Nova {
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             orphan_prepares: Vec::new(),
+            pending_dedup: Mutex::new(Vec::new()),
             layout,
             dev,
         };
@@ -381,7 +386,15 @@ impl Nova {
         // Mounting is the restart after a crash: persistence resumes.
         dev.power_on();
         let layout = superblock::read_superblock(&dev)?;
+        let metrics = dev.metrics().clone();
+        let (t0, reads0) = (std::time::Instant::now(), dev.stats().snapshot().reads);
         let recovered = crate::recovery::recover(&dev, &layout, opts.cpus)?;
+        metrics
+            .histogram("nova.recover")
+            .record(t0.elapsed().as_nanos() as u64);
+        metrics
+            .counter("nova.recover.pm_reads")
+            .add(dev.stats().snapshot().reads - reads0);
         superblock::set_clean_unmount(&dev, false);
         if !recovered.orphan_prepares.is_empty() {
             dev.metrics()
@@ -405,6 +418,7 @@ impl Nova {
             stats: NovaStats::new(dev.metrics()),
             scratch: denova_sync::Stack::new(),
             orphan_prepares: recovered.orphan_prepares,
+            pending_dedup: Mutex::new(recovered.pending_dedup),
             layout,
             dev,
         })
@@ -417,6 +431,14 @@ impl Nova {
     /// node serves requests; a standalone mount may ignore them.
     pub fn orphan_prepares(&self) -> &[String] {
         &self.orphan_prepares
+    }
+
+    /// Take the write entries mount-time recovery found still flagged
+    /// `Needed` or `InProcess` (inodes ascending, log order within each), so
+    /// dedup recovery needs no second walk of the logs. Empty after `mkfs`
+    /// and on every call after the first.
+    pub fn take_pending_dedup(&self) -> Vec<PendingDedup> {
+        std::mem::take(&mut *self.pending_dedup.lock())
     }
 
     /// Take a 4 KiB scratch page from the pool (or allocate one). Lock-free.

@@ -8,7 +8,7 @@
 //! complete.
 
 use crate::error::{NovaError, Result};
-use crate::layout::Layout;
+use crate::layout::{Layout, BLOCK_SIZE, INODE_SIZE};
 use denova_pmem::PmemDevice;
 
 // Field offsets within the 128 B inode.
@@ -19,6 +19,9 @@ const OFF_LOG_HEAD: u64 = 24;
 const OFF_LOG_TAIL: u64 = 32;
 const OFF_LINK_COUNT: u64 = 40;
 const OFF_BLOCKS: u64 = 48;
+
+/// Bytes from the start of an inode through its last field.
+const FIELDS_LEN: usize = OFF_BLOCKS as usize + 8;
 
 const FLAG_VALID: u64 = 1;
 const FLAG_DIR: u64 = 2;
@@ -45,6 +48,23 @@ pub struct Inode {
     pub blocks: u64,
 }
 
+/// Decode the field bytes (`FIELDS_LEN` or more) of one inode.
+fn decode(b: &[u8]) -> Inode {
+    let field =
+        |off: u64| u64::from_le_bytes(b[off as usize..off as usize + 8].try_into().unwrap());
+    let flags = field(OFF_FLAGS);
+    Inode {
+        ino: field(OFF_INO),
+        valid: flags & FLAG_VALID != 0,
+        is_dir: flags & FLAG_DIR != 0,
+        size: field(OFF_SIZE),
+        log_head: field(OFF_LOG_HEAD),
+        log_tail: field(OFF_LOG_TAIL),
+        link_count: field(OFF_LINK_COUNT),
+        blocks: field(OFF_BLOCKS),
+    }
+}
+
 /// Accessor for the persistent inode table.
 pub struct InodeTable<'a> {
     dev: &'a PmemDevice,
@@ -64,20 +84,34 @@ impl<'a> InodeTable<'a> {
         Ok(self.layout.inode_off(ino))
     }
 
-    /// Read inode `ino`.
+    /// Read inode `ino` (one device read of its field bytes).
     pub fn read(&self, ino: u64) -> Result<Inode> {
         let base = self.base(ino)?;
-        let flags = self.dev.read_u64(base + OFF_FLAGS);
-        Ok(Inode {
-            ino: self.dev.read_u64(base + OFF_INO),
-            valid: flags & FLAG_VALID != 0,
-            is_dir: flags & FLAG_DIR != 0,
-            size: self.dev.read_u64(base + OFF_SIZE),
-            log_head: self.dev.read_u64(base + OFF_LOG_HEAD),
-            log_tail: self.dev.read_u64(base + OFF_LOG_TAIL),
-            link_count: self.dev.read_u64(base + OFF_LINK_COUNT),
-            blocks: self.dev.read_u64(base + OFF_BLOCKS),
-        })
+        let mut b = [0u8; FIELDS_LEN];
+        self.dev.read_into(base, &mut b);
+        Ok(decode(&b))
+    }
+
+    /// Visit every slot `1..num_inodes` with its decoded inode, reading the
+    /// table a page (32 inodes) per device read. For mount-time sweeps.
+    pub fn for_each_slot(&self, mut f: impl FnMut(u64, Inode)) {
+        const PER_PAGE: u64 = BLOCK_SIZE / INODE_SIZE;
+        let mut page = [0u8; BLOCK_SIZE as usize];
+        let start = self.layout.inode_table_start * BLOCK_SIZE;
+        let n = self.layout.num_inodes;
+        let mut first = 0;
+        while first < n {
+            let count = PER_PAGE.min(n - first);
+            let buf = &mut page[..(count * INODE_SIZE) as usize];
+            self.dev.read_into(start + first * INODE_SIZE, buf);
+            for (k, raw) in buf.chunks_exact(INODE_SIZE as usize).enumerate() {
+                let slot = first + k as u64;
+                if slot != 0 {
+                    f(slot, decode(raw));
+                }
+            }
+            first += count;
+        }
     }
 
     /// Initialize inode `ino` as a fresh, valid file or directory and persist
@@ -295,5 +329,42 @@ mod tests {
         let ino = table.read(2).unwrap();
         assert_eq!(ino.size, 123456);
         assert_eq!(ino.blocks, 31);
+    }
+
+    #[test]
+    fn read_is_one_device_read() {
+        let (dev, layout) = setup();
+        let table = InodeTable::new(&dev, &layout);
+        table.init(7, false).unwrap();
+        table.set_size(7, 99).unwrap();
+        let before = dev.stats().snapshot().reads;
+        let ino = table.read(7).unwrap();
+        assert_eq!(dev.stats().snapshot().reads - before, 1);
+        assert_eq!((ino.ino, ino.size, ino.link_count), (7, 99, 1));
+    }
+
+    #[test]
+    fn slot_scan_reads_a_page_per_32_inodes() {
+        let (dev, layout) = setup();
+        let table = InodeTable::new(&dev, &layout);
+        for ino in [1, 31, 32, 63] {
+            table.init(ino, ino == 1).unwrap();
+        }
+        let before = dev.stats().snapshot().reads;
+        let mut valid = Vec::new();
+        let mut slots = 0;
+        table.for_each_slot(|slot, pi| {
+            slots += 1;
+            if pi.valid {
+                assert_eq!(pi.ino, slot);
+                valid.push(slot);
+            }
+        });
+        assert_eq!(
+            dev.stats().snapshot().reads - before,
+            layout.num_inodes.div_ceil(32)
+        );
+        assert_eq!(slots, layout.num_inodes - 1);
+        assert_eq!(valid, [1, 31, 32, 63]);
     }
 }

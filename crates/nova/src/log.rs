@@ -141,12 +141,18 @@ pub fn append_with_ranges(
     Ok(offs)
 }
 
-/// Iterator over the committed entries of a log.
+/// Iterator over the committed entries of a log. It reads the committed
+/// part of each log page in one device read (through the footer when the
+/// tail lies beyond the page, so following the link costs no extra read).
 pub struct LogIter<'a> {
     dev: &'a PmemDevice,
     layout: &'a Layout,
     cursor: u64,
     tail: u64,
+    /// Bytes `[buf_off, buf_off + buf_len)` of the current page.
+    buf: [u8; BLOCK_SIZE as usize],
+    buf_off: u64,
+    buf_len: u64,
 }
 
 impl<'a> LogIter<'a> {
@@ -163,7 +169,31 @@ impl<'a> LogIter<'a> {
             layout,
             cursor,
             tail,
+            buf: [0u8; BLOCK_SIZE as usize],
+            buf_off: 0,
+            buf_len: 0,
         }
+    }
+
+    /// Whether `[off, off + len)` is in the page buffer.
+    fn buffered(&self, off: u64, len: u64) -> bool {
+        off >= self.buf_off && off + len <= self.buf_off + self.buf_len
+    }
+
+    /// Buffer the page holding `cursor` from `cursor` up to the tail, or to
+    /// the page end (footer included) when the tail lies beyond the page.
+    fn fill(&mut self) {
+        let page_start = self.cursor - self.cursor % BLOCK_SIZE;
+        let end = if self.tail > self.cursor && self.tail <= page_start + LOG_PAGE_PAYLOAD {
+            // (A corrupt tail inside an entry still reads the whole entry.)
+            self.tail.max(self.cursor + LOG_ENTRY_SIZE)
+        } else {
+            page_start + BLOCK_SIZE
+        };
+        self.buf_off = self.cursor;
+        self.buf_len = end - self.cursor;
+        self.dev
+            .read_into(self.cursor, &mut self.buf[..self.buf_len as usize]);
     }
 }
 
@@ -178,18 +208,29 @@ impl Iterator for LogIter<'_> {
             }
             // End of page payload: follow the footer link.
             if self.cursor % BLOCK_SIZE >= LOG_PAGE_PAYLOAD {
-                let next = next_page(self.dev, self.layout, self.cursor / BLOCK_SIZE);
+                let footer = self.cursor - self.cursor % BLOCK_SIZE + FOOTER_NEXT;
+                let next = if self.buffered(footer, 8) {
+                    let at = (footer - self.buf_off) as usize;
+                    u64::from_le_bytes(self.buf[at..at + 8].try_into().unwrap())
+                } else {
+                    next_page(self.dev, self.layout, self.cursor / BLOCK_SIZE)
+                };
                 if next == 0 {
                     return Some(Err(NovaError::Corrupt("log chain ends before tail")));
                 }
                 self.cursor = self.layout.block_off(next);
                 continue;
             }
+            if !self.buffered(self.cursor, LOG_ENTRY_SIZE) {
+                self.fill();
+            }
             let off = self.cursor;
             self.cursor += LOG_ENTRY_SIZE;
-            let mut bytes = [0u8; 64];
-            self.dev.read_into(off, &mut bytes);
-            return Some(decode(&bytes).map(|e| (off, e)));
+            let at = (off - self.buf_off) as usize;
+            let bytes: &[u8; 64] = self.buf[at..at + LOG_ENTRY_SIZE as usize]
+                .try_into()
+                .unwrap();
+            return Some(decode(bytes).map(|e| (off, e)));
         }
     }
 }
@@ -393,5 +434,45 @@ mod tests {
         let offs = append(&dev, &layout, &alloc, &table, 2, &mut pos, &[], "test").unwrap();
         assert!(offs.is_empty());
         assert_eq!(pos, LogPosition::default());
+    }
+
+    /// Device reads issued by iterating the whole log.
+    fn reads_to_iterate(dev: &PmemDevice, layout: &Layout, pos: &LogPosition) -> (u64, u64) {
+        let before = dev.stats().snapshot().reads;
+        let n = LogIter::new(dev, layout, pos.head, pos.tail)
+            .collect::<crate::error::Result<Vec<_>>>()
+            .unwrap()
+            .len() as u64;
+        (n, dev.stats().snapshot().reads - before)
+    }
+
+    #[test]
+    fn iteration_reads_each_log_page_once() {
+        let (dev, layout) = setup();
+        let alloc = Allocator::new(1, layout.data_start, layout.data_blocks());
+        let table = InodeTable::new(&dev, &layout);
+        table.init(2, false).unwrap();
+        let mut pos = LogPosition::default();
+        // Exactly one full page: the tail sits at the payload end and no
+        // next page exists yet.
+        append_all(&dev, &layout, &alloc, 2, &mut pos, ENTRIES_PER_LOG_PAGE);
+        assert_eq!(
+            reads_to_iterate(&dev, &layout, &pos),
+            (ENTRIES_PER_LOG_PAGE, 1)
+        );
+        // Two more full pages and a partial one: one read per page, the
+        // footer links riding along with the entries.
+        append_all(
+            &dev,
+            &layout,
+            &alloc,
+            2,
+            &mut pos,
+            ENTRIES_PER_LOG_PAGE * 2 + 5,
+        );
+        assert_eq!(
+            reads_to_iterate(&dev, &layout, &pos),
+            (ENTRIES_PER_LOG_PAGE * 3 + 5, 4)
+        );
     }
 }

@@ -9,14 +9,27 @@
 //! NOVA's saved-freelist fast path but strictly more conservative.
 
 use crate::alloc::{Allocator, BlockBitmap};
-use crate::entry::LogEntry;
+use crate::entry::{DedupeFlag, LogEntry};
 use crate::error::Result;
 use crate::fs::InodeMem;
-use crate::inode::InodeTable;
+use crate::inode::{Inode, InodeTable};
 use crate::layout::{Layout, BLOCK_SIZE, ROOT_INO};
 use crate::log::{log_pages, LogIter, LogPosition};
 use denova_pmem::PmemDevice;
 use std::collections::HashMap;
+
+/// A write entry the log scan found still flagged for deduplication
+/// ([`DedupeFlag::Needed`] or [`DedupeFlag::InProcess`]), for the dedup
+/// layer's recovery to re-queue or resume without walking the logs again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PendingDedup {
+    /// Inode whose log holds the entry.
+    pub ino: u64,
+    /// Device byte offset of the entry.
+    pub entry_off: u64,
+    /// `Needed` or `InProcess`.
+    pub flag: DedupeFlag,
+}
 
 /// Everything recovery rebuilds.
 pub struct Recovered {
@@ -33,6 +46,9 @@ pub struct Recovered {
     /// The cluster layer resolves them; a standalone mount treats them as
     /// ordinary files.
     pub orphan_prepares: Vec<String>,
+    /// Write entries still flagged for deduplication: inodes ascending, log
+    /// order within each inode.
+    pub pending_dedup: Vec<PendingDedup>,
 }
 
 /// Run full log-scan recovery.
@@ -40,6 +56,15 @@ pub fn recover(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recover
     let table = InodeTable::new(dev, layout);
     let mut occupied = BlockBitmap::new(layout.total_blocks);
     let mut next_txid = 1u64;
+
+    // Every valid inode, read from the table a page at a time: phase 2 takes
+    // each file's log position from here and phase 3 finds the orphans.
+    let mut valid: HashMap<u64, Inode> = HashMap::new();
+    table.for_each_slot(|slot, pi| {
+        if pi.valid {
+            valid.insert(slot, pi);
+        }
+    });
 
     // Phase 1: replay the root directory log to learn the namespace.
     let root = table.read(ROOT_INO)?;
@@ -80,11 +105,15 @@ pub fn recover(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recover
         *link_counts.entry(ino).or_insert(0) += 1;
     }
     let mut inodes: HashMap<u64, InodeMem> = HashMap::new();
+    let mut pending_dedup = Vec::new();
     for (&ino, &nlink) in &link_counts {
-        if table.read(ino)?.link_count != nlink {
+        let pi = match valid.get(&ino) {
+            Some(&pi) => pi,
+            None => table.read(ino)?,
+        };
+        if pi.link_count != nlink {
             table.set_link_count(ino, nlink)?;
         }
-        let pi = table.read(ino)?;
         let mut mem = InodeMem::default();
         mem.pos = LogPosition {
             head: pi.log_head,
@@ -95,6 +124,13 @@ pub fn recover(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recover
             match entry {
                 LogEntry::Write(we) => {
                     next_txid = next_txid.max(we.txid + 1);
+                    if matches!(we.dedupe_flag, DedupeFlag::Needed | DedupeFlag::InProcess) {
+                        pending_dedup.push(PendingDedup {
+                            ino,
+                            entry_off: off,
+                            flag: we.dedupe_flag,
+                        });
+                    }
                     // Superseded blocks are simply not marked occupied.
                     let _ = mem.apply_write_entry(off, &we);
                 }
@@ -129,18 +165,22 @@ pub fn recover(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recover
 
     // Phase 3: clear orphan inodes (valid slot, no dentry). These are the
     // debris of a crash between inode init and dentry commit.
-    for slot in 1..layout.num_inodes {
-        if slot == ROOT_INO {
-            continue;
-        }
-        if table.is_valid(slot)? && !inodes.contains_key(&slot) {
-            table.clear(slot)?;
-        }
+    let mut orphans: Vec<u64> = valid
+        .into_keys()
+        .filter(|slot| *slot != ROOT_INO && !inodes.contains_key(slot))
+        .collect();
+    orphans.sort_unstable();
+    for slot in orphans {
+        table.clear(slot)?;
     }
 
     // Phase 4: rebuild the free lists from the bitmap. "automatically
     // finishes any reclaiming processes that were not finished."
     let alloc = Allocator::from_bitmap(cpus, layout.data_start, layout.total_blocks, &occupied);
+
+    // The dedup layer re-queues these in the order its DWQ always received
+    // them: inodes ascending, log order within each (a stable sort).
+    pending_dedup.sort_by_key(|p| p.ino);
 
     Ok(Recovered {
         namespace,
@@ -148,6 +188,7 @@ pub fn recover(dev: &PmemDevice, layout: &Layout, cpus: usize) -> Result<Recover
         alloc,
         next_txid,
         orphan_prepares,
+        pending_dedup,
     })
 }
 

@@ -136,6 +136,15 @@ struct ServerInner {
 }
 
 impl ServerInner {
+    /// Keep `handle` for shutdown to join, dropping the handles of threads
+    /// that already finished, so a long-running server holds one per live
+    /// connection rather than one per connection ever attached.
+    fn keep_conn_thread(&self, handle: std::thread::JoinHandle<()>) {
+        let mut threads = self.conn_threads.lock();
+        threads.retain(|t| !t.is_finished());
+        threads.push(handle);
+    }
+
     /// Stop intake and wake everything that might be waiting to notice:
     /// the condvar a reactor-backed `serve` blocks on, the accept loop's
     /// eventfd doorbell, and the reactor's drain machinery. Idempotent and
@@ -241,7 +250,7 @@ impl Server {
                 inner.conns_closed.inc();
             })
             .expect("spawn svc connection thread");
-        self.inner.conn_threads.lock().push(handle);
+        self.inner.keep_conn_thread(handle);
     }
 
     /// Register this server on an in-process [`crate::loopback::Hub`] under
@@ -635,7 +644,7 @@ impl ConnHandler for RConn {
                 inner.conns_closed.inc();
             })
             .expect("spawn svc replication connection thread");
-        self.inner.conn_threads.lock().push(handle);
+        self.inner.keep_conn_thread(handle);
     }
 
     fn on_close(&mut self) {
@@ -879,6 +888,28 @@ mod tests {
         assert_eq!(client.list().unwrap(), vec!["hello.txt".to_string()]);
         client.unlink("hello.txt").unwrap();
         drop(client);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let srv = server();
+        let closed = srv.inner.conns_closed.clone();
+        for i in 1..=64 {
+            let mut client = Client::from_stream(Box::new(srv.connect_loopback()));
+            client.ping().unwrap();
+            drop(client);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while closed.get() < i {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "connection {i} never closed"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        // Only threads still exiting when a later connection arrived remain.
+        assert!(srv.inner.conn_threads.lock().len() <= 4);
         srv.shutdown();
     }
 

@@ -17,6 +17,14 @@ use std::sync::Arc;
 /// Name of the tenant connections run under until they say otherwise.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// Named tenants one registry interns at most. Each holds five metrics for
+/// the server's lifetime, so the cap bounds memory and metric cardinality
+/// whatever names clients send in their hellos.
+pub const MAX_NAMED_TENANTS: usize = 64;
+
+/// The one tenant every name past [`MAX_NAMED_TENANTS`] is accounted to.
+pub const OVERFLOW_TENANT: &str = "other";
+
 /// One tenant: interned name, scheduling weight, and its accounting handles.
 pub struct Tenant {
     name: Arc<str>,
@@ -110,7 +118,9 @@ impl TenantRegistry {
     }
 
     /// Intern `name`, setting its weight when `weight > 0` (0 keeps the
-    /// current weight — new tenants then start at 1).
+    /// current weight — new tenants then start at 1). Once
+    /// [`MAX_NAMED_TENANTS`] names are interned, a new name gets the shared
+    /// [`OVERFLOW_TENANT`], whose weight it cannot set.
     pub fn get_with_weight(&self, name: &str, weight: u32) -> Arc<Tenant> {
         if name.is_empty() || name == DEFAULT_TENANT {
             if weight > 0 {
@@ -131,6 +141,15 @@ impl TenantRegistry {
             }
             return t.clone();
         }
+        let named = map.len() - 1 - usize::from(map.contains_key(OVERFLOW_TENANT));
+        let (name, weight) = if named >= MAX_NAMED_TENANTS && name != OVERFLOW_TENANT {
+            if let Some(t) = map.get(OVERFLOW_TENANT) {
+                return t.clone();
+            }
+            (OVERFLOW_TENANT, 0)
+        } else {
+            (name, weight)
+        };
         let id = map.len() as u32;
         let t = Arc::new(Tenant::new(&self.metrics, name, id, weight.max(1)));
         map.insert(t.name.clone(), t.clone());
@@ -187,5 +206,35 @@ mod tests {
         assert_eq!(snap.counter("svc.tenant.acme.bytes_out"), Some(8));
         let h = snap.histogram("svc.tenant.acme.request.ns").unwrap();
         assert_eq!(h.count, 2);
+    }
+
+    #[test]
+    fn named_tenants_are_capped_and_overflow_shares_one_tenant() {
+        let metrics = MetricsRegistry::new();
+        let reg = TenantRegistry::new(&metrics);
+        for i in 0..10_000 {
+            reg.get_with_weight(&format!("t{i}"), 3);
+        }
+        // The default tenant, the cap's worth of names, and the overflow.
+        assert_eq!(reg.all().len(), MAX_NAMED_TENANTS + 2);
+        let snap = metrics.snapshot();
+        let tenant_metrics = snap
+            .counters
+            .iter()
+            .map(|(n, _)| n)
+            .chain(snap.histograms.iter().map(|(n, _)| n))
+            .filter(|n| n.starts_with("svc.tenant."))
+            .count();
+        assert_eq!(tenant_metrics, (MAX_NAMED_TENANTS + 2) * 5);
+        assert_eq!(reg.get("t0").name(), "t0");
+        let late = reg.get("t9999");
+        assert_eq!(late.name(), OVERFLOW_TENANT);
+        assert!(Arc::ptr_eq(&late, &reg.get("t5000")));
+        assert_eq!(
+            late.weight(),
+            1,
+            "an overflowing name set the shared weight"
+        );
+        assert!(Arc::ptr_eq(&late, &reg.get(OVERFLOW_TENANT)));
     }
 }

@@ -510,6 +510,27 @@ fn run() -> Result<(), String> {
                     c("fact.hits"),
                     c("fact.misses")
                 );
+                // Where this process's mount went; the denova.recover.*
+                // phases appear only when the image needed crash recovery.
+                let ms = |name: &str| snap.histogram(name).map(|h| h.sum as f64 / 1e6);
+                let phases: Vec<String> = [
+                    "nova.recover",
+                    "fact.mount",
+                    "denova.recover.runs",
+                    "denova.recover.pending",
+                    "denova.recover.census",
+                    "denova.recover.reorder",
+                    "denova.recover.scrub",
+                ]
+                .iter()
+                .filter_map(|&p| ms(p).map(|v| format!("{p} {v:.1} ms")))
+                .collect();
+                println!(
+                    "  mount:              {}; {} PM reads, {} FACT scans",
+                    phases.join(", "),
+                    c("nova.recover.pm_reads") + c("denova.mount.pm_reads"),
+                    c("fact.scans")
+                );
                 println!("{}", snap.to_text());
             }
             Ok(())
